@@ -48,20 +48,14 @@ CheckpointService::CheckpointService(cluster::Cluster& cluster, net::NodeId node
 
   on<CheckpointFetchMsg>([this](const CheckpointFetchMsg& fetch) {
     // Peer fetch: scanning replicated segments costs the federation delay.
-    auto data = load_local(fetch.service, fetch.key);
-    engine().schedule_after(
-        params_.checkpoint_federation_fetch,
-        [this, reply_to = fetch.reply_to, request_id = fetch.request_id,
-         data = std::move(data)] {
-          if (!alive()) return;
-          auto reply = std::make_shared<CheckpointLoadReplyMsg>();
-          reply->request_id = request_id;
-          if (data) {
-            reply->found = true;
-            reply->data = *data;
-          }
-          send_any(reply_to, std::move(reply));
-        });
+    auto reply = std::make_shared<CheckpointLoadReplyMsg>();
+    reply->request_id = fetch.request_id;
+    if (auto data = load_local(fetch.service, fetch.key)) {
+      reply->found = true;
+      reply->data = std::move(*data);
+    }
+    reply_after(params_.checkpoint_federation_fetch, fetch.reply_to,
+                std::move(reply));
   });
 
   on<CheckpointLoadReplyMsg>([this](const CheckpointLoadReplyMsg& lr) {
@@ -118,30 +112,26 @@ void CheckpointService::handle_load(const CheckpointLoadMsg& load,
     // (recovery after migration) pays the cold replicated-segment scan.
     const bool same_partition =
         cluster().partition_of(env.from.node) == partition_;
-    engine().schedule_after(
-        same_partition ? params_.checkpoint_local_fetch
-                       : params_.checkpoint_federation_fetch,
-        [this, reply_to = load.reply_to, request_id = load.request_id,
-         data = std::move(*data)] {
-          if (!alive()) return;
-          auto reply = std::make_shared<CheckpointLoadReplyMsg>();
-          reply->request_id = request_id;
-          reply->found = true;
-          reply->data = data;
-          send_any(reply_to, std::move(reply));
-        });
+    auto reply = std::make_shared<CheckpointLoadReplyMsg>();
+    reply->request_id = load.request_id;
+    reply->found = true;
+    reply->data = std::move(*data);
+    reply_after(same_partition ? params_.checkpoint_local_fetch
+                               : params_.checkpoint_federation_fetch,
+                load.reply_to, std::move(reply));
     return;
   }
-  // Miss: ask every federation peer; first positive answer wins.
+  // Miss: ask every federation peer; first positive answer wins. The fetch
+  // is the same for every peer, so they all share one message.
   const std::uint64_t fetch_id = next_fetch_id_++;
   PendingLoad pending{load.reply_to, load.request_id, 0, false};
+  auto fetch = std::make_shared<CheckpointFetchMsg>();
+  fetch->service = load.service;
+  fetch->key = load.key;
+  fetch->reply_to = address();
+  fetch->request_id = fetch_id;
   for (const net::Address& peer : federation_peers()) {
-    auto fetch = std::make_shared<CheckpointFetchMsg>();
-    fetch->service = load.service;
-    fetch->key = load.key;
-    fetch->reply_to = address();
-    fetch->request_id = fetch_id;
-    if (send_any(peer, std::move(fetch)).valid()) ++pending.awaiting;
+    if (send_any(peer, fetch).valid()) ++pending.awaiting;
   }
   if (pending.awaiting == 0) {
     auto reply = std::make_shared<CheckpointLoadReplyMsg>();
@@ -155,6 +145,18 @@ void CheckpointService::handle_load(const CheckpointLoadMsg& load,
   // federation (e.g. during staged cluster construction).
   engine().schedule_after(params_.checkpoint_federation_fetch + 2 * sim::kSecond,
                           [this, fetch_id] { finish_load(fetch_id); });
+}
+
+void CheckpointService::reply_after(sim::SimTime delay, net::Address reply_to,
+                                    std::shared_ptr<CheckpointLoadReplyMsg> reply) {
+  // Scheduled once per load or fetch (about a million times in a 1,024-
+  // partition boot), so it must fit the engine's inline callback buffer.
+  auto send = [this, reply_to, reply = std::move(reply)]() mutable {
+    if (alive()) send_any(reply_to, std::move(reply));
+  };
+  static_assert(sim::Engine::Callback::stores_inline<decltype(send)>(),
+                "a per-reply closure must not heap-allocate");
+  engine().schedule_after(delay, std::move(send));
 }
 
 std::vector<net::Address> CheckpointService::federation_peers() const {

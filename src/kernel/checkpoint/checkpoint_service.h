@@ -62,6 +62,10 @@ class CheckpointService final : public ServiceRuntime {
 
  private:
   void handle_load(const CheckpointLoadMsg& load, const net::Envelope& env);
+  /// Sends `reply` after the store's read `delay`, unless this instance
+  /// died in the meantime.
+  void reply_after(sim::SimTime delay, net::Address reply_to,
+                   std::shared_ptr<CheckpointLoadReplyMsg> reply);
   void replicate(const std::string& service, const std::string& key,
                  const std::string& data, std::uint64_t version, bool deleted);
   std::vector<net::Address> federation_peers() const;

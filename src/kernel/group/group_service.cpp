@@ -417,15 +417,8 @@ void GroupServiceDaemon::ring_view_changed(MembershipRing& ring,
   // Primary (zone) ring. Zone leaders summarize member churn into one
   // aggregated event per window instead of flooding per-member events up.
   if (primary_ring_->is_ring_leader() && churn_ != nullptr) {
-    std::vector<net::PartitionId> removed;
-    std::vector<net::PartitionId> added;
-    for (const MetaMember& m : old_view.members) {
-      if (!ring.view().index_of(m.partition)) removed.push_back(m.partition);
-    }
-    for (const MetaMember& m : ring.view().members) {
-      if (!old_view.index_of(m.partition)) added.push_back(m.partition);
-    }
-    churn_->record(removed, added);
+    const MetaViewDiff diff = ring.view().diff_from(old_view);
+    churn_->record(diff.removed, diff.added);
   }
   update_zone_role(old_view);
 }

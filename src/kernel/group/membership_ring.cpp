@@ -49,10 +49,28 @@ bool MembershipRing::is_ring_princess() const {
 
 // --- lifecycle ---------------------------------------------------------------
 
+MetaView MembershipRing::replace_view(MetaView view) {
+  MetaView old = std::exchange(view_, std::move(view));
+  self_index_ = view_.index_of(host_.ring_partition());
+  return old;
+}
+
+std::optional<MetaMember> MembershipRing::successor() const {
+  const std::size_t n = view_.members.size();
+  if (!self_index_ || n < 2) return std::nullopt;
+  return view_.members[(*self_index_ + 1) % n];
+}
+
+std::optional<MetaMember> MembershipRing::predecessor() const {
+  const std::size_t n = view_.members.size();
+  if (!self_index_ || n < 2) return std::nullopt;
+  return view_.members[(*self_index_ + n - 1) % n];
+}
+
 void MembershipRing::seed_view(MetaView view) {
-  view_ = std::move(view);
-  view_.epoch = std::max(view_.epoch, epoch_floor());
-  joined_ = view_.contains(host_.ring_partition());
+  view.epoch = std::max(view.epoch, epoch_floor());
+  replace_view(std::move(view));
+  joined_ = self_index_.has_value();
   pred_partition_ = net::PartitionId{};
 }
 
@@ -67,7 +85,7 @@ void MembershipRing::found(std::uint64_t view_id, bool persist) {
   v.epoch = std::max(view_.epoch, epoch_floor());
   v.members = {MetaMember{host_.ring_partition(), host_.ring_address(),
                           host_.ring_incarnation()}};
-  const MetaView old = std::exchange(view_, std::move(v));
+  const MetaView old = replace_view(std::move(v));
   joined_ = true;
   if (persist && config_.persists_view) host_.ring_save_state(*this);
   host_.ring_view_changed(*this, old);
@@ -78,10 +96,10 @@ void MembershipRing::adopt_recovered_view(MetaView recovered) {
   // membership we are rejoining (addresses of live members).
   if (recovered.view_id >= view_.view_id) {
     recovered.remove(host_.ring_partition());  // our old entry is stale
-    view_ = std::move(recovered);
     // A checkpoint written before quorum fencing was enabled may carry
     // epoch 0; re-apply the floor so our stamps stay nonzero.
-    view_.epoch = std::max(view_.epoch, epoch_floor());
+    recovered.epoch = std::max(recovered.epoch, epoch_floor());
+    replace_view(std::move(recovered));
   }
 }
 
@@ -121,7 +139,7 @@ void MembershipRing::stop() {
 
 void MembershipRing::send_ring_heartbeat() {
   if (!host_.ring_alive() || !joined_ || view_.members.size() < 2) return;
-  auto succ = view_.successor_of(host_.ring_partition());
+  auto succ = successor();
   if (!succ) return;
   auto hb = std::make_shared<RingHeartbeatMsg>();
   hb->from_partition = host_.ring_partition();
@@ -136,7 +154,7 @@ void MembershipRing::check_meta() {
       pred_diagnosing_ || regroup_.has_value()) {
     return;
   }
-  auto pred = view_.predecessor_of(host_.ring_partition());
+  auto pred = predecessor();
   if (!pred) return;
   if (pred->partition != pred_partition_) {
     // Predecessor changed since the last check; restart the grace window.
@@ -328,17 +346,14 @@ void MembershipRing::commit_member_removal(const MetaMember& pred, bool node_dea
   next.remove(pred.partition);
   ++next.view_id;
   if (fence) ++next.epoch;  // quorum takeover: new fencing epoch
-  apply_view(next);
-  broadcast_view();
+  apply_view(std::move(next));
+  auto msg = broadcast_view();
   if (fence) {
     send_fence();
     // Tell the deposed member directly (it is no longer in the broadcast
     // set): a merely-slow suspect that was legitimately removed steps down
     // the moment this arrives and rejoins at the tail.
-    auto stale = std::make_shared<ViewChangeMsg>();
-    stale->view = view_;
-    stale->scope = config_.scope;
-    host_.ring_send_any(pred.gsd, std::move(stale));
+    host_.ring_send_any(pred.gsd, std::move(msg));
   }
 
   // Recovery of the failed partition (membership-only rings leave this to
@@ -633,14 +648,15 @@ void MembershipRing::apply_view(MetaView incoming) {
   if (incoming.epoch == view_.epoch) {
     if (incoming.view_id < view_.view_id) return;
     if (incoming.view_id == view_.view_id) {
-      const std::string mine = view_.serialize();
-      const std::string theirs = incoming.serialize();
-      if (theirs == mine) return;
+      if (incoming.members == view_.members) return;
       // Equal-id conflict (e.g. two concurrent ring founders): pick a
       // deterministic winner — more members first, then serialization order —
       // so every member converges on the same view.
       if (incoming.members.size() < view_.members.size()) return;
-      if (incoming.members.size() == view_.members.size() && theirs > mine) return;
+      if (incoming.members.size() == view_.members.size() &&
+          incoming.serialize() > view_.serialize()) {
+        return;
+      }
     }
   }
 
@@ -655,7 +671,7 @@ void MembershipRing::apply_view(MetaView incoming) {
                        "applying view " + std::to_string(incoming.view_id) +
                        " with " + std::to_string(incoming.members.size()) +
                        " members");
-  const MetaView old = std::exchange(view_, std::move(incoming));
+  const MetaView old = replace_view(std::move(incoming));
 
   joined_ = false;
   for (const MetaMember& m : view_.members) {
@@ -673,7 +689,7 @@ void MembershipRing::apply_view(MetaView incoming) {
   }
 
   // Predecessor may have changed; reset its grace window if so.
-  auto pred = view_.predecessor_of(host_.ring_partition());
+  auto pred = predecessor();
   const net::PartitionId new_pred = pred ? pred->partition : net::PartitionId{};
   if (new_pred != pred_partition_) {
     pred_partition_ = new_pred;
@@ -684,26 +700,22 @@ void MembershipRing::apply_view(MetaView incoming) {
 
   // A member that is new or re-incarnated relative to the old view means a
   // recovery completed; let the host close its fault record.
-  for (const MetaMember& m : view_.members) {
-    auto old_idx = old.index_of(m.partition);
-    const bool changed =
-        !old_idx || !(old.members[*old_idx].gsd == m.gsd &&
-                      old.members[*old_idx].incarnation == m.incarnation);
-    if (changed) host_.ring_member_recovered(*this, m);
-  }
+  const MetaViewDiff diff = view_.diff_from(old);
+  for (const MetaMember& m : diff.changed) host_.ring_member_recovered(*this, m);
 
   if (config_.persists_view) host_.ring_save_state(*this);
   host_.ring_view_changed(*this, old);
 }
 
-void MembershipRing::broadcast_view() {
+std::shared_ptr<const ViewChangeMsg> MembershipRing::broadcast_view() {
+  // One immutable message for the whole fan-out: receivers only read it.
+  auto msg = std::make_shared<ViewChangeMsg>();
+  msg->view = view_;
+  msg->scope = config_.scope;
   for (const MetaMember& m : view_.members) {
-    if (m.partition == host_.ring_partition()) continue;
-    auto msg = std::make_shared<ViewChangeMsg>();
-    msg->view = view_;
-    msg->scope = config_.scope;
-    host_.ring_send_any(m.gsd, std::move(msg));
+    if (m.partition != host_.ring_partition()) host_.ring_send_any(m.gsd, msg);
   }
+  return msg;
 }
 
 void MembershipRing::handle_join(const MetaJoinMsg& join) {
@@ -753,13 +765,10 @@ void MembershipRing::handle_join(const MetaJoinMsg& join) {
   }
   next.members.push_back(member);  // rejoiners go to the tail (paper's order)
   ++next.view_id;
-  apply_view(next);
-  broadcast_view();
+  apply_view(std::move(next));
+  const auto msg = broadcast_view();
   // The joiner may not be in our broadcast path if apply_view dropped it;
   // send the view directly too.
-  auto msg = std::make_shared<ViewChangeMsg>();
-  msg->view = view_;
-  msg->scope = config_.scope;
   host_.ring_send_any(member.gsd, msg);
   for (const MetaMember& m : displaced) {
     host_.ring_send_any(m.gsd, msg);

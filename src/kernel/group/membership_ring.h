@@ -145,8 +145,9 @@ class MembershipRing {
   /// fencing epoch. Used when a suspended top-ring participant re-activates
   /// later: its old view ids must not outrank the current ring's.
   void forget_membership() {
-    view_.members.clear();
-    view_.view_id = 0;
+    MetaView blank;
+    blank.epoch = view_.epoch;
+    replace_view(std::move(blank));
     joined_ = false;
   }
   /// Merge a checkpoint-recovered view (restart/migration path).
@@ -196,8 +197,17 @@ class MembershipRing {
                              sim::SimTime detected_at, sim::SimTime last_seen_at);
   void commit_member_removal(const MetaMember& pred, bool node_dead,
                              sim::SimTime detected_at, sim::SimTime last_seen_at);
-  void broadcast_view();
+  /// Sends the current view to every other member and returns the one
+  /// shared message, for any extra recipients.
+  std::shared_ptr<const ViewChangeMsg> broadcast_view();
   void try_rejoin();
+  /// The only writer of view_: installs `view`, recomputes self_index_ and
+  /// returns the previous view.
+  MetaView replace_view(MetaView view);
+  /// Ring neighbours of this member; nullopt when it is not in the view or
+  /// is alone in it.
+  std::optional<MetaMember> successor() const;
+  std::optional<MetaMember> predecessor() const;
 
   // -- quorum regroup (FailoverPolicy::quorum()) --
   void begin_regroup(const MetaMember& suspect, bool node_dead,
@@ -221,6 +231,9 @@ class MembershipRing {
   const Config config_;
 
   MetaView view_;
+  /// index_of(our partition) in view_, kept by replace_view so the 50 ms
+  /// predecessor check and the ring beater do not rescan the view.
+  std::optional<std::size_t> self_index_;
   std::uint64_t ring_seq_ = 0;
   std::vector<sim::SimTime> pred_last_per_net_;
   std::vector<bool> pred_net_failed_;

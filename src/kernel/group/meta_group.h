@@ -30,6 +30,20 @@ struct MetaMember {
   friend bool operator==(const MetaMember&, const MetaMember&) = default;
 };
 
+/// Membership difference between two views of one ring, keyed by partition.
+/// A partition listed twice matches its first entry, as in
+/// MetaView::index_of.
+struct MetaViewDiff {
+  /// New-view members absent from the old view, or present there with
+  /// another address or incarnation (a completed recovery), in new-view
+  /// order.
+  std::vector<MetaMember> changed;
+  /// New-view partitions absent from the old view, in new-view order.
+  std::vector<net::PartitionId> added;
+  /// Old-view partitions absent from the new view, in old-view order.
+  std::vector<net::PartitionId> removed;
+};
+
 struct MetaView {
   std::uint64_t view_id = 0;
   /// Fencing epoch, bumped once per quorum takeover (FailoverPolicy::quorum()
@@ -79,6 +93,11 @@ struct MetaView {
     members.erase(members.begin() + static_cast<std::ptrdiff_t>(*i));
     return true;
   }
+
+  /// What changed from `old` to this view, in time linear in both views
+  /// and the largest partition id: partition ids are dense cluster
+  /// indices, so each side's lookup is one vector.
+  MetaViewDiff diff_from(const MetaView& old) const;
 
   std::string serialize() const;
   static MetaView deserialize(const std::string& data);

@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "kernel_fixture.h"
 
 namespace phoenix::kernel {
@@ -13,6 +20,33 @@ namespace {
 using phoenix::testing::KernelHarness;
 using phoenix::testing::fast_ft_params;
 using phoenix::testing::small_cluster_spec;
+
+MetaMember member(std::uint32_t partition, std::uint32_t node,
+                  std::uint64_t incarnation = 0) {
+  return MetaMember{net::PartitionId{partition}, {net::NodeId{node}, net::PortId{2}},
+                    incarnation};
+}
+
+std::vector<std::uint32_t> ids(const std::vector<net::PartitionId>& partitions) {
+  std::vector<std::uint32_t> out;
+  for (net::PartitionId p : partitions) out.push_back(p.value);
+  return out;
+}
+
+std::vector<std::uint32_t> ids(const std::vector<MetaMember>& members) {
+  std::vector<std::uint32_t> out;
+  for (const MetaMember& m : members) out.push_back(m.partition.value);
+  return out;
+}
+
+/// A ViewChangeMsg from `from`, handed straight to `to`'s handler.
+void deliver_view(const GroupServiceDaemon& from, GroupServiceDaemon& to,
+                  MetaView view) {
+  auto msg = std::make_shared<ViewChangeMsg>();
+  msg->view = std::move(view);
+  to.deliver(net::Envelope{from.address(), to.address(), net::NetworkId{0},
+                           std::move(msg)});
+}
 
 class GroupServiceTest : public ::testing::Test {
  protected:
@@ -225,6 +259,23 @@ TEST_F(GroupServiceTest, GsdNetworkFailureDetectedByRingSuccessor) {
   EXPECT_EQ(gsd->recovered_at, gsd->diagnosed_at);
 }
 
+TEST_F(GroupServiceTest, ApplyingTheCurrentViewIsANoOp) {
+  auto& gsd = h.kernel.gsd(net::PartitionId{1});
+  const auto& peer = h.kernel.gsd(net::PartitionId{0});
+  const MetaView current = gsd.view();
+  const auto saved = gsd.counters().snapshots_saved;
+  deliver_view(peer, gsd, current);
+  EXPECT_EQ(gsd.counters().snapshots_saved, saved);
+  EXPECT_EQ(gsd.view().serialize(), current.serialize());
+
+  // Control: the same members under the next view id are a real change.
+  MetaView next = current;
+  ++next.view_id;
+  deliver_view(peer, gsd, next);
+  EXPECT_EQ(gsd.counters().snapshots_saved, saved + 1);
+  EXPECT_EQ(gsd.view().view_id, next.view_id);
+}
+
 TEST_F(GroupServiceTest, MetaViewSurvivesDoubleFault) {
   // Crash two compute nodes at once; the ring (server-level) is unaffected
   // and both faults are diagnosed.
@@ -262,6 +313,31 @@ TEST(GroupServiceRingTest, LargerRingFormsAndSurvivesMemberFailure) {
   EXPECT_TRUE(h.kernel.gsd(net::PartitionId{2}).alive());
 }
 
+TEST(GroupServiceRingTest, EqualIdConflictingViewsConvergeInEitherOrder) {
+  cluster::ClusterSpec spec = small_cluster_spec();
+  spec.partitions = 3;
+  KernelHarness h(spec, fast_ft_params());
+  h.run_s(5.0);
+  auto& a = h.kernel.gsd(net::PartitionId{0});
+  auto& b = h.kernel.gsd(net::PartitionId{1});
+  const auto& sender = h.kernel.gsd(net::PartitionId{2});
+
+  // Same id, same size, different ring order: two concurrent founders.
+  MetaView x = a.view();
+  x.view_id += 10;
+  ASSERT_EQ(x.members.size(), 3u);
+  MetaView y = x;
+  std::swap(y.members[1], y.members[2]);
+
+  deliver_view(sender, a, x);
+  deliver_view(sender, a, y);
+  deliver_view(sender, b, y);
+  deliver_view(sender, b, x);
+  const std::string winner = std::min(x.serialize(), y.serialize());
+  EXPECT_EQ(a.view().serialize(), winner);
+  EXPECT_EQ(b.view().serialize(), winner);
+}
+
 TEST(MetaViewTest, RingOrderAndRoles) {
   MetaView view;
   view.view_id = 3;
@@ -291,6 +367,69 @@ TEST(MetaViewTest, SerializationRoundTrip) {
   EXPECT_EQ(parsed.members[1].partition.value, 3u);
   EXPECT_EQ(parsed.members[1].gsd.node.value, 17u);
   EXPECT_EQ(parsed.members[1].incarnation, 123456u);
+}
+
+TEST(MetaViewTest, DiffReportsChangedMembersInViewOrder) {
+  MetaView old;
+  old.members = {member(0, 0), member(1, 10), member(2, 20), member(3, 30),
+                 member(4, 40)};
+  MetaView next;
+  // 0 and 2 unchanged, 3 re-incarnated, 6 new, 1 re-addressed, 4 removed.
+  next.members = {member(0, 0), member(3, 30, 7), member(6, 60), member(1, 11),
+                  member(2, 20)};
+  const MetaViewDiff d = next.diff_from(old);
+  EXPECT_EQ(ids(d.changed), (std::vector<std::uint32_t>{3, 6, 1}));
+  EXPECT_EQ(d.changed[0].incarnation, 7u);
+  EXPECT_EQ(d.changed[2].gsd.node, net::NodeId{11});
+  EXPECT_EQ(ids(d.added), (std::vector<std::uint32_t>{6}));
+  EXPECT_EQ(ids(d.removed), (std::vector<std::uint32_t>{4}));
+
+  const MetaViewDiff same = old.diff_from(old);
+  EXPECT_TRUE(same.changed.empty());
+  EXPECT_TRUE(same.added.empty());
+  EXPECT_TRUE(same.removed.empty());
+}
+
+TEST(MetaViewTest, DiffHandlesHighIdsAndAnEmptyOldView) {
+  const MetaView empty;
+  MetaView small;
+  small.members = {member(1, 10)};
+  MetaView big;
+  big.members = {member(5, 50), member(1, 10), member(1000, 7)};
+
+  const MetaViewDiff from_empty = big.diff_from(empty);
+  EXPECT_EQ(ids(from_empty.changed), (std::vector<std::uint32_t>{5, 1, 1000}));
+  EXPECT_EQ(ids(from_empty.added), (std::vector<std::uint32_t>{5, 1, 1000}));
+  EXPECT_TRUE(from_empty.removed.empty());
+
+  // Ids above any in the other view are looked up, not indexed past its end.
+  const MetaViewDiff grown = big.diff_from(small);
+  EXPECT_EQ(ids(grown.changed), (std::vector<std::uint32_t>{5, 1000}));
+  EXPECT_EQ(ids(grown.added), (std::vector<std::uint32_t>{5, 1000}));
+  EXPECT_TRUE(grown.removed.empty());
+  const MetaViewDiff shrunk = small.diff_from(big);
+  EXPECT_TRUE(shrunk.changed.empty());
+  EXPECT_EQ(ids(shrunk.removed), (std::vector<std::uint32_t>{5, 1000}));
+
+  EXPECT_EQ(ids(empty.diff_from(big).removed),
+            (std::vector<std::uint32_t>{5, 1, 1000}));
+}
+
+TEST(MetaViewTest, DiffMatchesTheFirstEntryOfADuplicatedPartition) {
+  MetaView old;
+  old.members = {member(2, 20, 5), member(1, 10), member(2, 21, 9)};
+  ASSERT_EQ(old.index_of(net::PartitionId{2}), 0u);
+
+  MetaView first;
+  first.members = {member(2, 20, 5)};
+  EXPECT_TRUE(first.diff_from(old).changed.empty());
+  EXPECT_EQ(ids(first.diff_from(old).removed), (std::vector<std::uint32_t>{1}));
+
+  // Equal to the second entry only: index_of would not find it, so changed.
+  MetaView second;
+  second.members = {member(2, 21, 9)};
+  EXPECT_EQ(ids(second.diff_from(old).changed), (std::vector<std::uint32_t>{2}));
+  EXPECT_TRUE(second.diff_from(old).added.empty());
 }
 
 TEST(MetaViewTest, DeserializeEmptyAndMalformed) {

@@ -4,6 +4,8 @@
 // pins the flat wire format the zoned refactor must never disturb.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "kernel/group/leader_monitor.h"
 #include "kernel/group/meta_group.h"
 #include "kernel_fixture.h"
@@ -55,6 +57,18 @@ TEST(MetaViewGoldenBytesTest, FlatEpochZeroViewSerializesToExactLegacyBytes) {
   v.members.push_back({net::PartitionId{1}, {net::NodeId{8}, net::PortId{3}}, 0});
   v.members.push_back({net::PartitionId{2}, {net::NodeId{16}, net::PortId{3}}, 7});
   EXPECT_EQ(v.serialize(), "1|0,0,3,0|1,8,3,0|2,16,3,7");
+
+  // The widest fields: a 20-digit incarnation and the top port number.
+  MetaView wide;
+  wide.view_id = 9;
+  wide.members.push_back(
+      {net::PartitionId{4095}, {net::NodeId{8191}, net::PortId{65535}}, UINT64_MAX});
+  EXPECT_EQ(wide.serialize(), "9|4095,8191,65535,18446744073709551615");
+
+  // No members: the view id alone.
+  MetaView empty;
+  empty.view_id = 12;
+  EXPECT_EQ(empty.serialize(), "12");
 
   const MetaView back = MetaView::deserialize("1|0,0,3,0|1,8,3,0|2,16,3,7");
   EXPECT_EQ(back.view_id, 1u);

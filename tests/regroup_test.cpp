@@ -51,6 +51,7 @@ TEST(MetaViewEpochTest, NonzeroEpochRoundtrips) {
   v.epoch = 3;
   v.members.push_back({net::PartitionId{0}, {net::NodeId{4}, net::PortId{2}}, 11});
   v.members.push_back({net::PartitionId{1}, {net::NodeId{9}, net::PortId{2}}, 12});
+  EXPECT_EQ(v.serialize(), "7|@3|0,4,2,11|1,9,2,12");
   const MetaView back = MetaView::deserialize(v.serialize());
   EXPECT_EQ(back.epoch, 3u);
   EXPECT_EQ(back.view_id, 7u);

@@ -5,6 +5,7 @@
 // it."), tombstone semantics, and join ordering.
 #include <gtest/gtest.h>
 
+#include "kernel/group/leader_monitor.h"
 #include "kernel_fixture.h"
 
 namespace phoenix::kernel {
@@ -141,6 +142,46 @@ TEST_F(RingTest, RingHeartbeatsFollowTheRingEdges) {
   const auto msgs = hb_bytes / per_msg;
   EXPECT_GE(msgs, 120u);
   EXPECT_LE(msgs, 200u);
+}
+
+// --- scale --------------------------------------------------------------------
+
+TEST(RingScaleTest, FourConsecutiveServerCrashesHealA256MemberRing) {
+  constexpr std::uint32_t kPartitions = 256;
+  cluster::ClusterSpec spec;
+  spec.partitions = kPartitions;
+  spec.computes_per_partition = 0;
+  spec.backups_per_partition = 1;
+  KernelHarness h(spec, fast_ft_params());
+  LeaderInvariantMonitor monitor(h.kernel);
+  h.run_s(6.0);
+
+  // Four neighbours in the middle of the ring: each removal hands the
+  // successor a predecessor that is dead too, and the migrated GSDs rejoin
+  // at the tail in the order they recover.
+  constexpr std::uint32_t kFirst = 100;
+  for (std::uint32_t p = kFirst; p < kFirst + 4; ++p) {
+    h.injector.crash_node(h.cluster.server_node(net::PartitionId{p}));
+  }
+  h.run_s(40.0);
+
+  const std::string reference = h.kernel.gsd(net::PartitionId{0}).view().serialize();
+  EXPECT_EQ(h.kernel.gsd(net::PartitionId{0}).view().members.size(), kPartitions);
+  for (std::uint32_t p = 0; p < kPartitions; ++p) {
+    const auto& gsd = h.kernel.gsd(net::PartitionId{p});
+    ASSERT_TRUE(gsd.alive()) << "partition " << p;
+    EXPECT_EQ(gsd.view().serialize(), reference) << "partition " << p;
+  }
+  for (std::uint32_t p = kFirst; p < kFirst + 4; ++p) {
+    std::size_t records = 0;
+    for (const auto& r : h.kernel.fault_log().records()) {
+      if (r.component != "GSD" || r.partition != net::PartitionId{p}) continue;
+      ++records;
+      EXPECT_TRUE(r.recovered) << "partition " << p;
+    }
+    EXPECT_EQ(records, 1u) << "partition " << p;
+  }
+  EXPECT_EQ(monitor.violations(), 0u);
 }
 
 }  // namespace
