@@ -379,7 +379,7 @@ void KernelApi::checkpoint_load(const std::string& service,
     const auto* reply = net::message_cast<CheckpointLoadReplyMsg>(m);
     if (reply == nullptr || !done) return;
     using R = Result<std::optional<std::string>>;
-    done(reply->found ? R::success(reply->data) : R::success(std::nullopt));
+    done(reply->found ? R::success(reply->data.str()) : R::success(std::nullopt));
   };
   c.fail = [done](Status s) {
     if (done) done(Result<std::optional<std::string>>::failure(s));

@@ -8,7 +8,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/ids.h"
@@ -16,10 +19,36 @@
 
 namespace phoenix::kernel {
 
+/// The bytes of one saved checkpoint, immutable and shared: the save, the
+/// store entry, its replicas and every load reply hold the same buffer, so
+/// passing it on copies a pointer, not the state. An overwrite replaces the
+/// store's buffer and leaves the ones already handed out untouched.
+class CheckpointData {
+ public:
+  CheckpointData() = default;
+  CheckpointData(std::string bytes)  // NOLINT(google-explicit-constructor)
+      : bytes_(std::make_shared<const std::string>(std::move(bytes))) {}
+  CheckpointData(const char* bytes)  // NOLINT(google-explicit-constructor)
+      : CheckpointData(std::string(bytes)) {}
+
+  const std::string& str() const noexcept {
+    static const std::string kEmpty;
+    return bytes_ ? *bytes_ : kEmpty;
+  }
+  std::size_t size() const noexcept { return bytes_ ? bytes_->size() : 0; }
+
+  friend bool operator==(const CheckpointData& a, std::string_view b) noexcept {
+    return a.str() == b;
+  }
+
+ private:
+  std::shared_ptr<const std::string> bytes_;
+};
+
 struct CheckpointSaveMsg final : net::Message {
   std::string service;  // owning service, e.g. "es/3"
   std::string key;
-  std::string data;
+  CheckpointData data;
   net::Address reply_to;
   std::uint64_t request_id = 0;
   std::uint16_t attempt = 1;  // header-resident; excluded from wire_size()
@@ -50,7 +79,7 @@ struct CheckpointSaveReplyMsg final : net::Message {
 struct CheckpointReplicateMsg final : net::Message {
   std::string service;
   std::string key;
-  std::string data;
+  CheckpointData data;
   std::uint64_t version = 0;
   bool deleted = false;
 
@@ -76,7 +105,7 @@ struct CheckpointLoadMsg final : net::Message {
 struct CheckpointLoadReplyMsg final : net::Message {
   std::uint64_t request_id = 0;
   bool found = false;
-  std::string data;
+  CheckpointData data;
   std::uint64_t version = 0;
 
   PHOENIX_MESSAGE_TYPE("ckpt.load_reply")

@@ -172,18 +172,16 @@ std::vector<net::Address> CheckpointService::federation_peers() const {
 
 std::uint64_t CheckpointService::save_local(const std::string& service,
                                             const std::string& key,
-                                            std::string data, bool do_replicate) {
+                                            CheckpointData data, bool do_replicate) {
   const std::uint64_t version = next_version_++;
-  store_[{service, key}] = Entry{std::move(data), version};
-  if (do_replicate) {
-    const Entry& e = store_[{service, key}];
-    replicate(service, key, e.data, version, /*deleted=*/false);
-  }
+  const auto it =
+      store_.insert_or_assign({service, key}, Entry{std::move(data), version}).first;
+  if (do_replicate) replicate(service, key, it->second.data, version, /*deleted=*/false);
   return version;
 }
 
-std::optional<std::string> CheckpointService::load_local(const std::string& service,
-                                                         const std::string& key) const {
+std::optional<CheckpointData> CheckpointService::load_local(
+    const std::string& service, const std::string& key) const {
   auto it = store_.find({service, key});
   if (it == store_.end()) return std::nullopt;
   return it->second.data;
@@ -192,7 +190,7 @@ std::optional<std::string> CheckpointService::load_local(const std::string& serv
 bool CheckpointService::delete_local(const std::string& service,
                                      const std::string& key, bool do_replicate) {
   const bool existed = store_.erase({service, key}) > 0;
-  if (do_replicate) replicate(service, key, "", next_version_++, /*deleted=*/true);
+  if (do_replicate) replicate(service, key, {}, next_version_++, /*deleted=*/true);
   return existed;
 }
 
@@ -212,7 +210,7 @@ std::size_t CheckpointService::delete_namespace(const std::string& service,
   for (const std::string& key : list_keys(service)) {
     store_.erase({service, key});
     ++removed;
-    if (do_replicate) replicate(service, key, "", next_version_++, /*deleted=*/true);
+    if (do_replicate) replicate(service, key, {}, next_version_++, /*deleted=*/true);
   }
   return removed;
 }
@@ -230,7 +228,7 @@ void CheckpointService::finish_load(std::uint64_t fetch_id) {
 }
 
 void CheckpointService::replicate(const std::string& service, const std::string& key,
-                                  const std::string& data, std::uint64_t version,
+                                  const CheckpointData& data, std::uint64_t version,
                                   bool deleted) {
   if (directory() == nullptr || replication_factor_ <= 1) return;
   const std::size_t parts = directory()->partition_count();

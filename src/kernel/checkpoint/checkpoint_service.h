@@ -46,9 +46,9 @@ class CheckpointService final : public ServiceRuntime {
   // --- local API ----------------------------------------------------------
 
   std::uint64_t save_local(const std::string& service, const std::string& key,
-                           std::string data, bool replicate = true);
-  std::optional<std::string> load_local(const std::string& service,
-                                        const std::string& key) const;
+                           CheckpointData data, bool replicate = true);
+  std::optional<CheckpointData> load_local(const std::string& service,
+                                           const std::string& key) const;
   bool delete_local(const std::string& service, const std::string& key,
                     bool replicate = true);
   std::size_t entry_count() const noexcept { return store_.size(); }
@@ -67,11 +67,11 @@ class CheckpointService final : public ServiceRuntime {
   void reply_after(sim::SimTime delay, net::Address reply_to,
                    std::shared_ptr<CheckpointLoadReplyMsg> reply);
   void replicate(const std::string& service, const std::string& key,
-                 const std::string& data, std::uint64_t version, bool deleted);
+                 const CheckpointData& data, std::uint64_t version, bool deleted);
   std::vector<net::Address> federation_peers() const;
 
   struct Entry {
-    std::string data;
+    CheckpointData data;
     std::uint64_t version = 0;
   };
 

@@ -1045,7 +1045,7 @@ void GroupServiceDaemon::handle_state_load_reply(
   if (reply.request_id != state_load_id_ || state_load_id_ == 0) return;
   state_load_id_ = 0;
   if (reply.found) {
-    primary_ring_->adopt_recovered_view(MetaView::deserialize(reply.data));
+    primary_ring_->adopt_recovered_view(MetaView::deserialize(reply.data.str()));
   }
   primary_ring_->rejoin_now();
   primary_ring_->begin_join_search(MembershipRing::kJoinRetryPeriod);

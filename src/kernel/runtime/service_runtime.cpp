@@ -233,7 +233,7 @@ void ServiceRuntime::on_recovery_reply(const CheckpointLoadReplyMsg& reply) {
   if (recovery_load_id_ == 0 || reply.request_id != recovery_load_id_) return;
   recovery_load_id_ = 0;
   if (reply.found) {
-    restore(reply.data);
+    restore(reply.data.str());
     ++counters_.restores;
   }
   if (opts_.announce_up) announce_up();

@@ -1,6 +1,9 @@
 #include "pws/job.h"
 
+#include <charconv>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 namespace phoenix::pws {
 
@@ -30,29 +33,62 @@ std::string_view to_string(SubmitStatus status) noexcept {
   return "?";
 }
 
+namespace {
+
+template <typename Number>
+void append_number(std::string& out, Number value) {
+  char digits[20];
+  const auto result = std::to_chars(digits, digits + sizeof digits, value);
+  out.append(digits, result.ptr);
+}
+
+}  // namespace
+
 std::string serialize_jobs(const std::map<JobId, Job>& jobs) {
-  std::ostringstream out;
+  std::string out;
+  // Room for a typical line; longer names and node lists grow it.
+  out.reserve(96 * jobs.size());
+  const auto number = [&out](auto value) {
+    append_number(out, value);
+    out += '|';
+  };
+  const auto text = [&out](const std::string& value) {
+    out += value;
+    out += '|';
+  };
   for (const auto& [id, job] : jobs) {
-    out << id << '|' << job.name << '|' << job.user << '|' << job.pool << '|'
-        << job.nodes_needed << '|' << job.duration << '|'
-        << static_cast<int>(job.state) << '|' << job.submitted_at << '|'
-        << job.started_at << '|' << job.finished_at << '|' << job.exited << '|'
-        << job.requeues << '|' << job.priority << '|' << job.walltime_limit
-        << '|' << job.arch << '|' << job.after_ok << '|';
+    number(id);
+    text(job.name);
+    text(job.user);
+    text(job.pool);
+    number(job.nodes_needed);
+    number(job.duration);
+    number(static_cast<int>(job.state));
+    number(job.submitted_at);
+    number(job.started_at);
+    number(job.finished_at);
+    number(job.exited);
+    number(job.requeues);
+    number(job.priority);
+    number(job.walltime_limit);
+    text(job.arch);
+    number(job.after_ok);
     for (std::size_t i = 0; i < job.allocated.size(); ++i) {
-      if (i > 0) out << ',';
-      out << job.allocated[i].value;
+      if (i > 0) out += ',';
+      append_number(out, job.allocated[i].value);
     }
-    out << '|';
+    out += '|';
     bool first = true;
     for (const auto& [node, pid] : job.pids) {
-      if (!first) out << ',';
+      if (!first) out += ',';
       first = false;
-      out << node << '=' << pid;
+      append_number(out, node);
+      out += '=';
+      append_number(out, pid);
     }
-    out << '\n';
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 std::map<JobId, Job> deserialize_jobs(const std::string& data) {
@@ -73,9 +109,19 @@ std::map<JobId, Job> deserialize_jobs(const std::string& data) {
       job.name = next();
       job.user = next();
       job.pool = next();
-      job.nodes_needed = static_cast<unsigned>(std::stoul(next()));
+      // A job with no node or no known state would never be scheduled nor
+      // retired after a restore, so such a line is as malformed as a short one.
+      const unsigned long nodes = std::stoul(next());
+      if (nodes == 0 || nodes > std::numeric_limits<unsigned>::max()) {
+        throw std::out_of_range("nodes_needed");
+      }
+      job.nodes_needed = static_cast<unsigned>(nodes);
       job.duration = std::stoull(next());
-      job.state = static_cast<JobState>(std::stoi(next()));
+      const int state = std::stoi(next());
+      if (state < 0 || state > static_cast<int>(JobState::kTimedOut)) {
+        throw std::out_of_range("state");
+      }
+      job.state = static_cast<JobState>(state);
       job.submitted_at = std::stoull(next());
       job.started_at = std::stoull(next());
       job.finished_at = std::stoull(next());

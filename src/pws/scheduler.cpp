@@ -292,14 +292,16 @@ bool PwsScheduler::is_leased(net::NodeId node) const {
   return it != slots_.end() && it->second.leased_to >= 0;
 }
 
-std::vector<net::NodeId> PwsScheduler::free_nodes_of(
-    std::size_t pool_index, const std::string& arch) const {
+std::vector<net::NodeId> PwsScheduler::free_nodes_of(std::size_t pool_index,
+                                                    const std::string& arch,
+                                                    std::size_t limit) const {
   // The free set holds only idle, live nodes serving this pool, in node-id
   // order — the same order the historical whole-cluster slot scan produced.
   std::vector<net::NodeId> out;
   const auto& free = pools_[pool_index].free_nodes();
-  out.reserve(free.size());
+  out.reserve(std::min(limit, free.size()));
   for (const std::uint32_t node_value : free) {
+    if (out.size() == limit) break;
     if (!arch.empty() &&
         cluster().node(net::NodeId{node_value}).arch() != arch) {
       continue;  // architecture constraint (heterogeneous clusters)
@@ -339,8 +341,8 @@ std::size_t PwsScheduler::borrow_nodes(std::size_t borrower, std::size_t deficit
   return borrowed;
 }
 
-sim::SimTime PwsScheduler::shadow_time(const Job& head,
-                                       std::size_t pool_index) const {
+sim::SimTime PwsScheduler::shadow_time(const Job& head, std::size_t pool_index,
+                                       std::size_t available) const {
   // Earliest time the head job could start: walk running jobs serving this
   // pool in completion order, accumulating freed nodes.
   const auto target = static_cast<std::int32_t>(pool_index);
@@ -361,7 +363,6 @@ sim::SimTime PwsScheduler::shadow_time(const Job& head,
     }
   }
   std::sort(completions.begin(), completions.end());
-  std::size_t available = free_nodes_of(pool_index, head.arch).size();
   for (const auto& [finish, freed] : completions) {
     available += freed;
     if (available >= head.nodes_needed) return finish;
@@ -394,14 +395,16 @@ void PwsScheduler::scan_pool(std::size_t pool_index) {
   auto& pending = pool.pending();
   const bool had_pending = !pending.empty();
 
+  // One compacting pass: entries that stay queued move down to `kept`, in
+  // order; started and dropped ones are simply not kept. Nothing below
+  // touches this pool's pending index, so the gap in between is never seen.
+  std::size_t kept = 0;
+  std::size_t i = 0;
   bool head_blocked = false;
   sim::SimTime head_shadow = sim::kNever;
-  for (std::size_t i = 0; i < pending.size();) {
+  for (; i < pending.size(); ++i) {
     auto job_it = jobs_.find(pending[i].id);
-    if (job_it == jobs_.end() || job_it->second.terminal()) {
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      continue;
-    }
+    if (job_it == jobs_.end() || job_it->second.terminal()) continue;
     Job& job = job_it->second;
 
     // Dependency gate ("afterok"): wait for the dependency to complete;
@@ -420,13 +423,12 @@ void PwsScheduler::scan_pool(std::size_t pool_index) {
         ++stats_.cancelled;
         if (metrics_->enabled()) cancelled_ctr_->inc();
         const JobId dead = job.id;
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
         wake_dependents(dead);
         retire_if_unretained(dead);
         continue;
       }
       if (!dep_ok) {
-        ++i;  // dependency still pending: skip without blocking the head
+        pending[kept++] = pending[i];  // dependency pending: skip, not block
         continue;
       }
     }
@@ -436,30 +438,36 @@ void PwsScheduler::scan_pool(std::size_t pool_index) {
       // before the head's reserved start.
       if (pool.policy() != SchedPolicy::kBackfill) break;
       if (now() + job.duration > head_shadow) {
-        ++i;
+        pending[kept++] = pending[i];
         continue;
       }
     }
 
-    std::vector<net::NodeId> free = free_nodes_of(pool_index, job.arch);
+    std::vector<net::NodeId> free =
+        free_nodes_of(pool_index, job.arch, job.nodes_needed);
     if (free.size() < job.nodes_needed) {
       const std::size_t got =
           borrow_nodes(pool_index, job.nodes_needed - free.size());
-      if (got > 0) free = free_nodes_of(pool_index, job.arch);
+      if (got > 0) free = free_nodes_of(pool_index, job.arch, job.nodes_needed);
     }
     if (free.size() < job.nodes_needed) {
       if (!head_blocked) {
         head_blocked = true;
-        head_shadow = shadow_time(job, pool_index);
+        // Only backfill reads the head's reserved start.
+        if (pool.policy() == SchedPolicy::kBackfill) {
+          head_shadow = shadow_time(job, pool_index, free.size());
+        }
       }
-      ++i;
+      pending[kept++] = pending[i];
       continue;
     }
 
-    free.resize(job.nodes_needed);
-    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
     start_job(job, std::move(free), pool);
   }
+  // Close the gap; an unscanned tail (after a non-backfill break) moves
+  // down once.
+  pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(kept),
+                pending.begin() + static_cast<std::ptrdiff_t>(i));
   if (had_pending && pending.empty()) pool_drained(pool_index);
 }
 
@@ -1011,7 +1019,7 @@ void PwsScheduler::handle(const net::Envelope& env) {
     if (load->request_id != recovery_load_id_ || recovery_load_id_ == 0) return;
     recovery_load_id_ = 0;
     if (load->found) {
-      jobs_ = deserialize_jobs(load->data);
+      jobs_ = deserialize_jobs(load->data.str());
       rebuild_after_restore();
       reconcile_with_bulletin();
     } else {

@@ -272,8 +272,10 @@ class PwsScheduler final : public cluster::Daemon {
   void scan_pool(std::size_t pool_index);
   void mark_pool_dirty(std::size_t pool_index);
   void request_pass_soon();
+  /// Up to `limit` free nodes serving the pool, lowest id first.
   std::vector<net::NodeId> free_nodes_of(std::size_t pool_index,
-                                         const std::string& arch) const;
+                                         const std::string& arch,
+                                         std::size_t limit) const;
   std::size_t borrow_nodes(std::size_t borrower, std::size_t deficit);
   void start_job(Job& job, std::vector<net::NodeId> nodes, Pool& pool);
   void launch(Job& job);
@@ -282,7 +284,9 @@ class PwsScheduler final : public cluster::Daemon {
   void handle_node_failed(net::NodeId node);
   void requeue_or_fail(Job& job);
   void enforce_walltime();
-  sim::SimTime shadow_time(const Job& head, std::size_t pool_index) const;
+  /// Earliest time `head` could start, given `available` free nodes now.
+  sim::SimTime shadow_time(const Job& head, std::size_t pool_index,
+                           std::size_t available) const;
 
   // bookkeeping helpers
   std::size_t pool_index_of(net::SymbolId sym) const;  // npos when unknown

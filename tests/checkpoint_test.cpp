@@ -181,6 +181,61 @@ TEST_F(CheckpointTest, ReplicaSurvivesPrimaryNodeCrash) {
   EXPECT_EQ(reply->data, "irreplaceable");
 }
 
+TEST_F(CheckpointTest, LoadReplyKeepsBytesAcrossOverwrite) {
+  cs(0).save_local("app", "state", "v1", false);
+  TestClient client(h.cluster, net::NodeId{2});  // partition 0
+  auto load = std::make_shared<CheckpointLoadMsg>();
+  load->service = "app";
+  load->key = "state";
+  load->reply_to = client.address();
+  client.send_any(cs(0).address(), load);
+  // The load has arrived and its reply waits out the disk-read delay.
+  h.run(h.kernel.params().checkpoint_local_fetch / 2);
+  ASSERT_EQ(client.last_of_type<CheckpointLoadReplyMsg>(), nullptr);
+  cs(0).save_local("app", "state", "v2", false);
+  h.run_s(1.0);
+  const auto* reply = client.last_of_type<CheckpointLoadReplyMsg>();
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply->data, "v1");
+  EXPECT_EQ(*cs(0).load_local("app", "state"), "v2");
+}
+
+TEST_F(CheckpointTest, ReplicaSharesOriginBytes) {
+  cs(0).save_local("svc", "shared", std::string(4096, 'x'));
+  h.run_s(1.0);
+  const auto origin = cs(0).load_local("svc", "shared");
+  const auto replica = cs(1).load_local("svc", "shared");
+  ASSERT_TRUE(origin.has_value());
+  ASSERT_TRUE(replica.has_value());
+  EXPECT_EQ(replica->str(), origin->str());
+  // One buffer per save: the replica holds the origin's bytes, not a copy.
+  EXPECT_EQ(replica->str().data(), origin->str().data());
+}
+
+TEST(CheckpointWireTest, ByteCarryingMessagesKeepTheirSizes) {
+  CheckpointSaveMsg save;
+  save.service = "pws";
+  save.key = "jobs";
+  EXPECT_EQ(save.wire_size(), 23u);
+  save.data = "0123456789";
+  EXPECT_EQ(save.wire_size(), 33u);
+  save.epoch = 5;
+  save.scope = 2;
+  EXPECT_EQ(save.wire_size(), 45u);
+
+  CheckpointReplicateMsg rep;
+  rep.service = "pws";
+  rep.key = "jobs";
+  rep.data = "0123456789";
+  rep.deleted = true;
+  EXPECT_EQ(rep.wire_size(), 34u);
+
+  CheckpointLoadReplyMsg reply;
+  EXPECT_EQ(reply.wire_size(), 25u);
+  reply.data = std::string("0123456789");
+  EXPECT_EQ(reply.wire_size(), 35u);
+}
+
 TEST(CheckpointReplicationFactorTest, HigherFactorReachesMorePartitions) {
   cluster::ClusterSpec spec = small_cluster_spec();
   spec.partitions = 4;

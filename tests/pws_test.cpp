@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
+
 #include "kernel_fixture.h"
 #include "test_client.h"
 
@@ -376,6 +380,157 @@ TEST(PwsSerializationTest, JobsRoundTrip) {
 TEST(PwsSerializationTest, MalformedLinesSkipped) {
   const auto parsed = deserialize_jobs("garbage|line\n\nnot|enough|fields\n");
   EXPECT_TRUE(parsed.empty());
+}
+
+TEST(PwsSerializationTest, ExactBytes) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::map<JobId, Job> jobs;
+  Job full;
+  full.id = kMax;
+  full.name = "alpha";
+  full.user = "bob";
+  full.pool = "batch";
+  full.nodes_needed = 3;
+  full.duration = 123456;
+  full.state = JobState::kRunning;
+  full.submitted_at = kMax;
+  full.started_at = kMax;
+  full.finished_at = kMax;
+  full.exited = 1;
+  full.requeues = 2;
+  full.priority = -7;
+  full.walltime_limit = 600000000;
+  full.arch = "x86_64";
+  full.after_ok = 42;
+  full.allocated = {net::NodeId{4}, net::NodeId{5}, net::NodeId{4294967295u}};
+  full.pids = {{4, 100}, {5, 101}, {4294967295u, kMax}};
+  jobs[full.id] = full;
+  Job bare;
+  bare.id = 7;
+  bare.user = "carol";
+  bare.pool = "batch";
+  bare.submitted_at = 5;
+  jobs[bare.id] = bare;
+
+  // One line per job, in id order.
+  EXPECT_EQ(serialize_jobs(jobs),
+            "7||carol|batch|1|0|1|5|0|0|0|0|0|0||0||\n"
+            "18446744073709551615|alpha|bob|batch|3|123456|2|"
+            "18446744073709551615|18446744073709551615|18446744073709551615|"
+            "1|2|-7|600000000|x86_64|42|4,5,4294967295|"
+            "4=100,5=101,4294967295=18446744073709551615\n");
+  EXPECT_EQ(serialize_jobs({}), "");
+}
+
+TEST(PwsSerializationTest, OutOfRangeFieldsSkipped) {
+  // A valid line, then the same job with state 9, with no node, and with a
+  // node count that does not fit `unsigned` (it used to truncate to 0).
+  const auto parsed = deserialize_jobs(
+      "1|a|u|batch|1|0|1|0|0|0|0|0|0|0||0||\n"
+      "2|b|u|batch|1|0|9|0|0|0|0|0|0|0||0||\n"
+      "3|c|u|batch|0|0|1|0|0|0|0|0|0|0||0||\n"
+      "4|d|u|batch|4294967296|0|1|0|0|0|0|0|0|0||0||\n"
+      "5|e|u|batch|2|0|-1|0|0|0|0|0|0|0||0||\n");
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed.begin()->first, 1u);
+  EXPECT_EQ(parsed.at(1).state, JobState::kQueued);
+}
+
+// Scheduling passes, driven one at a time: nothing between submit() and
+// schedule_now() advances the simulation, so each check sees exactly one
+// pass over the queue.
+class PwsScanTest : public ::testing::Test {
+ protected:
+  void boot(SchedPolicy policy) {
+    pws = std::make_unique<PwsSystem>(h.kernel, one_pool_config(h.cluster, policy));
+    h.run_s(1.0);
+  }
+  PwsScheduler& sched() { return pws->scheduler(); }
+  std::vector<JobId> pending() { return sched().pool("batch")->pending_jobs(); }
+  JobState state(JobId id) { return sched().job(id)->state; }
+
+  /// Leaves 2 of the 8 nodes free behind a 6-node job running for 100 s,
+  /// then queues [job gated on it, 3-node job, 5 s job, 500 s job].
+  void queue_behind_blocked_head() {
+    runner = sched().submit(req("u", 6, 100.0));
+    h.run_s(3.0);
+    ASSERT_EQ(state(runner), JobState::kRunning);
+    SubmitRequest gated_req = req("u", 1, 1.0);
+    gated_req.after_ok = runner;
+    gated = sched().submit(gated_req);
+    head = sched().submit(req("u", 3, 10.0));
+    short_job = sched().submit(req("u", 1, 5.0));
+    long_job = sched().submit(req("u", 1, 500.0));
+  }
+
+  KernelHarness h{small_cluster_spec(), fast_ft_params()};
+  std::unique_ptr<PwsSystem> pws;
+  JobId runner = 0, gated = 0, head = 0, short_job = 0, long_job = 0;
+};
+
+TEST_F(PwsScanTest, FifoStartsNothingBehindBlockedHead) {
+  boot(SchedPolicy::kFifo);
+  queue_behind_blocked_head();
+  sched().schedule_now();
+  for (const JobId id : {gated, head, short_job, long_job}) {
+    EXPECT_EQ(state(id), JobState::kQueued) << "job " << id;
+  }
+  EXPECT_EQ(pending(), (std::vector<JobId>{gated, head, short_job, long_job}));
+}
+
+TEST_F(PwsScanTest, BackfillStartsOnlyJobEndingBeforeHeadShadow) {
+  boot(SchedPolicy::kBackfill);
+  queue_behind_blocked_head();
+  sched().schedule_now();
+  EXPECT_EQ(state(short_job), JobState::kRunning);
+  for (const JobId id : {gated, head, long_job}) {
+    EXPECT_EQ(state(id), JobState::kQueued) << "job " << id;
+  }
+  EXPECT_EQ(pending(), (std::vector<JobId>{gated, head, long_job}));
+}
+
+TEST_F(PwsScanTest, MultiNodeJobTakesLowestFreeNodes) {
+  boot(SchedPolicy::kFifo);
+  std::vector<net::NodeId> nodes = sched().pool("batch")->owned_nodes();
+  std::sort(nodes.begin(), nodes.end(),
+            [](net::NodeId a, net::NodeId b) { return a.value < b.value; });
+  // Busy the three lowest nodes, then free the two lowest: the free set is
+  // {0, 1, 3, 4, ...} in pool order.
+  const JobId pair = sched().submit(req("u", 2, 100.0));
+  const JobId single = sched().submit(req("u", 1, 100.0));
+  sched().schedule_now();
+  ASSERT_EQ(state(pair), JobState::kRunning);
+  ASSERT_EQ(state(single), JobState::kRunning);
+  ASSERT_TRUE(sched().cancel(pair));
+
+  const JobId triple = sched().submit(req("u", 3, 100.0));
+  sched().schedule_now();
+  ASSERT_EQ(state(triple), JobState::kRunning);
+  EXPECT_EQ(sched().job(triple)->allocated,
+            (std::vector<net::NodeId>{nodes[0], nodes[1], nodes[3]}));
+}
+
+TEST_F(PwsScanTest, DeadDependentsDroppedInOnePassOthersKeepOrder) {
+  boot(SchedPolicy::kBackfill);
+  const JobId runner6 = sched().submit(req("u", 6, 100.0));
+  h.run_s(3.0);
+  ASSERT_EQ(state(runner6), JobState::kRunning);
+  // [doomed, head, dep1, slow1, dep2, slow2]: the head blocks, the slow
+  // jobs end after its reserved start, and both dependents lose their
+  // dependency when `doomed` is cancelled.
+  const JobId doomed = sched().submit(req("u", 8, 1.0));
+  const JobId blocked = sched().submit(req("u", 3, 10.0));
+  SubmitRequest dep_req = req("u", 1, 1.0);
+  dep_req.after_ok = doomed;
+  const JobId dep1 = sched().submit(dep_req);
+  const JobId slow1 = sched().submit(req("u", 1, 500.0));
+  const JobId dep2 = sched().submit(dep_req);
+  const JobId slow2 = sched().submit(req("u", 1, 600.0));
+  ASSERT_TRUE(sched().cancel(doomed));
+  sched().schedule_now();
+  EXPECT_EQ(state(dep1), JobState::kCancelled);
+  EXPECT_EQ(state(dep2), JobState::kCancelled);
+  EXPECT_EQ(pending(), (std::vector<JobId>{blocked, slow1, slow2}));
 }
 
 }  // namespace
