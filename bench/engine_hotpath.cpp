@@ -17,36 +17,19 @@
 //   dispatch   - per-envelope handler routing: the ServiceRuntime dense
 //                type-id table vs the message_cast if-chain every service
 //                hand-rolled before it.
-//   parallel   - a 16k-node sharded world (ParallelEngine + ShardedFabric)
-//                driven by per-node heartbeat timers with a cross-shard
-//                reporting fraction, swept across worker-thread counts
-//                (pass --threads N to pin a single count). Speedups are
-//                relative to the sequential reference mode and only show
-//                above 1x on multi-core hosts, so the JSON also records
-//                hardware_concurrency.
 //
 // Flags:
-//   --quick            ~20x smaller iteration counts (CI smoke runs)
-//   --threads N        pin the parallel sweep to one worker-thread count
-//   --trace-json PATH  after the benches, re-run a small sharded world with
-//                      the span store enabled and write the wire-hop spans
-//                      as Chrome trace-event JSON (open in Perfetto); the
-//                      run always contains cross-shard hops.
+//   --quick   ~20x smaller iteration counts (CI smoke runs)
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "cluster/shard_map.h"
 #include "kernel/runtime/service_runtime.h"
 #include "net/fabric.h"
-#include "obs/span_store.h"
 #include "sim/engine.h"
-#include "sim/parallel_engine.h"
 
 namespace phoenix::bench {
 namespace {
@@ -307,205 +290,21 @@ DispatchRates bench_dispatch(std::size_t deliveries) {
   return rates;
 }
 
-// ---------------------------------------------------------------------------
-// Parallel sharded world.
-// ---------------------------------------------------------------------------
-
-// A 16k-node cluster on 16 shards: every node runs a self-rearming heartbeat
-// timer sending to its partition server (intra-shard by construction), and
-// every 8th beat reports to a rotating remote partition server (~94%
-// cross-shard given 16 shards), so the window/mailbox machinery carries a
-// realistic minority of the traffic rather than dominating it.
-struct ShardedWorld {
-  struct Scale {
-    std::size_t partitions = 256;
-    std::size_t nodes_per_partition = 64;  // 16384 nodes total
-    std::size_t shards = 16;
-    sim::SimTime horizon = 20 * sim::kMillisecond;
-  };
-
-  ShardedWorld(std::size_t threads, Scale scale,
-               obs::SpanStore* spans = nullptr)
-      : sc(scale),
-        map(cluster::ShardMap::partition_blocks(sc.partitions,
-                                                sc.nodes_per_partition,
-                                                sc.shards)),
-        pe({.shards = sc.shards,
-            .threads = threads,
-            .lookahead = net::LatencyModel{}.min_latency(),
-            .seed = 4242}),
-        fabric(pe, map.node_shards(), /*network_count=*/1) {
-    fabric.set_group_size(sc.nodes_per_partition);
-    // Delivery accounting lives in the fabric's own per-shard NetworkStats
-    // (total_stats().messages_delivered) — no hand-rolled counters here.
-    fabric.set_delivery_handler([](const net::Envelope&) {});
-    if (spans != nullptr) fabric.set_span_store(spans);
-    msg = std::make_shared<BenchPingMsg>();
-    msg->bytes = 48;  // heartbeat-sized
-  }
-
-  net::NodeId server_of(std::size_t partition) const {
-    return net::NodeId{
-        static_cast<std::uint32_t>(partition * sc.nodes_per_partition)};
-  }
-
-  void tick(net::NodeId n, std::uint64_t seq) {
-    sim::Engine& eng = pe.shard(map.shard_of(n));
-    const std::size_t part = n.value / sc.nodes_per_partition;
-    const net::PortId port{1};
-    fabric.send({n, port}, {server_of(part), port}, net::NetworkId{0}, msg);
-    if (seq % 8 == 0) {
-      const std::size_t remote =
-          (part + 1 + (n.value + seq) % (sc.partitions - 1)) % sc.partitions;
-      fabric.send({n, port}, {server_of(remote), port}, net::NetworkId{0}, msg);
-    }
-    eng.schedule_after(200 + eng.rng().next() % 400,
-                       [this, n, seq] { tick(n, seq + 1); });
-  }
-
-  /// Returns (events executed, wall seconds).
-  std::pair<std::uint64_t, double> run() {
-    for (std::uint32_t n = 0; n < sc.partitions * sc.nodes_per_partition; ++n) {
-      pe.shard(map.shard_of(net::NodeId{n}))
-          .schedule_at(1 + n % 997, [this, id = net::NodeId{n}] { tick(id, 1); });
-    }
-    const auto t0 = Clock::now();
-    const std::uint64_t ran = pe.run_until(sc.horizon);
-    return {ran, seconds_since(t0)};
-  }
-
-  Scale sc;
-  cluster::ShardMap map;
-  sim::ParallelEngine pe;
-  net::ShardedFabric fabric;
-  std::shared_ptr<BenchPingMsg> msg;
-};
-
-struct ParallelPoint {
-  std::size_t threads = 0;
-  double events_per_sec = 0;
-  double speedup = 0;
-};
-
-struct ParallelResults {
-  double baseline_events_per_sec = 0;  // sequential reference mode
-  std::uint64_t events = 0;
-  std::uint64_t cross_posted = 0;
-  /// Merged per-shard fabric stats of the sequential reference run.
-  net::NetworkStats fabric_stats;
-  std::uint64_t fabric_cross_shard_sent = 0;
-  std::vector<ParallelPoint> sweep;
-};
-
-ParallelResults bench_parallel(const std::vector<std::size_t>& thread_counts,
-                               const ShardedWorld::Scale& scale) {
-  ParallelResults out;
-  {
-    ShardedWorld world(/*threads=*/0, scale);
-    const auto [ran, secs] = world.run();
-    out.baseline_events_per_sec = static_cast<double>(ran) / secs;
-    out.events = ran;
-    out.cross_posted = world.pe.cross_posted();
-    out.fabric_stats = world.fabric.total_stats();
-    out.fabric_cross_shard_sent = world.fabric.cross_shard_sent();
-    std::printf("parallel   t=seq: %12.0f events/s  (%llu events, %llu cross-shard, %llu delivered)\n",
-                out.baseline_events_per_sec,
-                static_cast<unsigned long long>(ran),
-                static_cast<unsigned long long>(out.cross_posted),
-                static_cast<unsigned long long>(out.fabric_stats.messages_delivered));
-  }
-  for (const std::size_t t : thread_counts) {
-    ShardedWorld world(t, scale);
-    const auto [ran, secs] = world.run();
-    ParallelPoint p;
-    p.threads = t;
-    p.events_per_sec = static_cast<double>(ran) / secs;
-    p.speedup = p.events_per_sec / out.baseline_events_per_sec;
-    if (ran != out.events) {
-      std::fprintf(stderr, "parallel bench diverged at t=%zu (%llu vs %llu)\n",
-                   t, static_cast<unsigned long long>(ran),
-                   static_cast<unsigned long long>(out.events));
-    }
-    std::printf("parallel   t=%-3zu: %12.0f events/s  (%.2fx)\n", t,
-                p.events_per_sec, p.speedup);
-    out.sweep.push_back(p);
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Traced re-run: Chrome trace-event export.
-// ---------------------------------------------------------------------------
-
-// A small sharded world re-run with the span store on and ≥2 worker threads,
-// so the exported trace always contains cross-shard wire hops (recorded on
-// the destination shard's thread). Deliberately separate from the timed runs:
-// tracing heap-allocates per send and must never touch the headline numbers.
-bool export_trace_json(const char* path) {
-  obs::SpanStore spans;
-  spans.set_enabled(true);
-  spans.set_capacity(1 << 18);
-  // Horizon must cover >= 8 tick periods (200-600us each): cross-shard
-  // reports only fire on every 8th beat, and the whole point of this export
-  // is to contain them.
-  ShardedWorld world(/*threads=*/2,
-                     {.partitions = 16,
-                      .nodes_per_partition = 16,
-                      .shards = 4,
-                      .horizon = 8 * sim::kMillisecond},
-                     &spans);
-  world.run();
-
-  std::size_t cross = 0;
-  for (const auto& s : spans.spans()) {
-    if (s.outcome == "delivered_cross_shard") ++cross;
-  }
-  std::printf("trace      : %zu spans (%zu cross-shard) -> %s\n", spans.size(),
-              cross, path);
-  if (cross == 0) {
-    std::fprintf(stderr, "trace run produced no cross-shard spans\n");
-    return false;
-  }
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return false;
-  }
-  const std::string json = spans.to_chrome_json();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace
 }  // namespace phoenix::bench
 
 int main(int argc, char** argv) {
   std::setvbuf(stdout, nullptr, _IONBF, 0);
   const char* out_path = "BENCH_hotpath.json";
-  const char* trace_path = nullptr;
   bool quick = false;
-  std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_counts = {static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10))};
-    } else if (std::strcmp(argv[i], "--trace-json") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else {
       out_path = argv[i];
     }
   }
   const std::size_t scale_div = quick ? 20 : 1;
-  phoenix::bench::ShardedWorld::Scale world_scale;
-  if (quick) {
-    world_scale = {.partitions = 32,
-                   .nodes_per_partition = 32,
-                   .shards = 8,
-                   .horizon = 5 * phoenix::sim::kMillisecond};
-    thread_counts = {2};
-  }
 
   const double events_per_sec =
       phoenix::bench::bench_scheduler(2'000'000 / scale_div);
@@ -518,23 +317,6 @@ int main(int argc, char** argv) {
   const auto dispatch = phoenix::bench::bench_dispatch(4'000'000 / scale_div);
   std::printf("dispatch table: %12.0f msgs/s\n", dispatch.table_per_sec);
   std::printf("dispatch chain: %12.0f msgs/s\n", dispatch.ifchain_per_sec);
-  const auto parallel =
-      phoenix::bench::bench_parallel(thread_counts, world_scale);
-
-  if (trace_path != nullptr && !phoenix::bench::export_trace_json(trace_path)) {
-    return 1;
-  }
-
-  std::string sweep_json;
-  for (std::size_t i = 0; i < parallel.sweep.size(); ++i) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%s      { \"threads\": %zu, \"events_per_sec\": %.0f, "
-                  "\"speedup\": %.3f }",
-                  i ? ",\n" : "", parallel.sweep[i].threads,
-                  parallel.sweep[i].events_per_sec, parallel.sweep[i].speedup);
-    sweep_json += buf;
-  }
 
   if (std::FILE* f = std::fopen(out_path, "w")) {
     std::fprintf(f,
@@ -545,44 +327,11 @@ int main(int argc, char** argv) {
                  "  \"sends_per_sec\": %.0f,\n"
                  "  \"publishes_per_sec\": %.0f,\n"
                  "  \"dispatch_table_per_sec\": %.0f,\n"
-                 "  \"dispatch_ifchain_per_sec\": %.0f,\n"
-                 "  \"parallel\": {\n"
-                 "    \"nodes\": %zu,\n"
-                 "    \"shards\": %zu,\n"
-                 "    \"lookahead_us\": %llu,\n"
-                 "    \"hardware_concurrency\": %u,\n"
-                 "    \"events\": %llu,\n"
-                 "    \"cross_shard_posted\": %llu,\n"
-                 "    \"baseline_events_per_sec\": %.0f,\n"
-                 "    \"fabric\": {\n"
-                 "      \"messages_sent\": %llu,\n"
-                 "      \"messages_delivered\": %llu,\n"
-                 "      \"messages_dropped\": %llu,\n"
-                 "      \"messages_lost\": %llu,\n"
-                 "      \"bytes_sent\": %llu,\n"
-                 "      \"cross_shard_sent\": %llu\n"
-                 "    },\n"
-                 "    \"sweep\": [\n%s\n    ]\n"
-                 "  }\n"
+                 "  \"dispatch_ifchain_per_sec\": %.0f\n"
                  "}\n",
                  quick ? "true" : "false", events_per_sec, sends_per_sec,
                  publishes_per_sec, dispatch.table_per_sec,
-                 dispatch.ifchain_per_sec,
-                 world_scale.partitions * world_scale.nodes_per_partition,
-                 world_scale.shards,
-                 static_cast<unsigned long long>(
-                     phoenix::net::LatencyModel{}.min_latency()),
-                 std::thread::hardware_concurrency(),
-                 static_cast<unsigned long long>(parallel.events),
-                 static_cast<unsigned long long>(parallel.cross_posted),
-                 parallel.baseline_events_per_sec,
-                 static_cast<unsigned long long>(parallel.fabric_stats.messages_sent),
-                 static_cast<unsigned long long>(parallel.fabric_stats.messages_delivered),
-                 static_cast<unsigned long long>(parallel.fabric_stats.messages_dropped),
-                 static_cast<unsigned long long>(parallel.fabric_stats.messages_lost),
-                 static_cast<unsigned long long>(parallel.fabric_stats.bytes_sent),
-                 static_cast<unsigned long long>(parallel.fabric_cross_shard_sent),
-                 sweep_json.c_str());
+                 dispatch.ifchain_per_sec);
     std::fclose(f);
     std::printf("wrote %s\n", out_path);
   } else {

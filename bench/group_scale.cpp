@@ -20,6 +20,10 @@
 // (full run only) — the hierarchy must be sub-linear in the burst, not a
 // constant-factor tweak.
 //
+// Each case is its own simulation, so the cases run as independent trials
+// on one thread per core (sim::run_parallel_trials) and print in sweep
+// order; the output is the same as a sequential run's.
+//
 // Usage: group_scale [--quick] [out.json]   (default out: BENCH_group_scale.json)
 #include <algorithm>
 #include <cmath>
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "sim/parallel_trials.h"
 
 namespace phoenix::bench {
 namespace {
@@ -140,9 +145,14 @@ int main(int argc, char** argv) {
     double flat_s, zoned_s, ratio;
   };
   std::vector<Row> rows;
-  for (std::size_t n : sizes) {
-    const CaseResult flat = run_case(n, /*zoned=*/false);
-    const CaseResult zoned = run_case(n, /*zoned=*/true);
+  // Trial 2i is sizes[i] flat, 2i+1 the same size zoned.
+  const std::vector<CaseResult> cases = sim::run_parallel_trials(
+      2 * sizes.size(),
+      [&sizes](std::size_t t) { return run_case(sizes[t / 2], t % 2 == 1); });
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const std::size_t n = sizes[i];
+    const CaseResult& flat = cases[2 * i];
+    const CaseResult& zoned = cases[2 * i + 1];
     if (flat.latency_s < 0 || zoned.latency_s < 0) {
       std::fprintf(stderr,
                    "FAIL: no convergence at %zu partitions (flat %.1f,"

@@ -18,10 +18,19 @@
 // deterministic Table 1-3 runs — those keep loss at 0 and are byte-identical
 // with or without this substrate.
 //
-// Emits BENCH_rpc_resilience.json (or argv[1]) for trend tracking.
+// Emits BENCH_rpc_resilience.json (or the first non-flag argument) for trend
+// tracking.
+//
+// Flags:
+//   --trace-json PATH  enable the cluster's span store for the failover run
+//                      and write its spans (calls, attempts, reroutes, wire
+//                      hops, serves, takeovers) as Chrome trace-event JSON
+//                      (open in Perfetto). Tracing draws no randomness, so
+//                      stdout is the same with or without it.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -148,16 +157,19 @@ struct FailoverResult {
   std::uint64_t lat_count = 0;
   /// Full registry snapshot (counters/gauges/histograms), raw JSON.
   std::string metrics_json = "{}";
+  /// Chrome trace-event JSON of the run's spans; empty unless traced.
+  std::string trace_json;
 };
 
 constexpr std::size_t kFailoverCalls = 60;
 
-FailoverResult run_failover() {
+FailoverResult run_failover(bool traced) {
   kernel::FtParams params;
   params.heartbeat_interval = 2 * sim::kSecond;
   params.detector_sample_interval = 1 * sim::kSecond;
   Harness h(bench_spec(), params);
   h.cluster.metrics().set_enabled(true);
+  h.cluster.span_store().set_enabled(traced);
   h.run_s(3.0);
   KernelApi api(h.cluster, h.cluster.compute_nodes(net::PartitionId{1})[0],
                 h.kernel);
@@ -206,6 +218,7 @@ FailoverResult run_failover() {
     res.lat_count = lat->count();
   }
   res.metrics_json = h.cluster.metrics().snapshot_json();
+  if (traced) res.trace_json = h.cluster.span_store().to_chrome_json();
   return res;
 }
 
@@ -216,7 +229,15 @@ int main(int argc, char** argv) {
   using namespace phoenix;
   using namespace phoenix::bench;
   std::setvbuf(stdout, nullptr, _IONBF, 0);
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_rpc_resilience.json";
+  const char* out_path = "BENCH_rpc_resilience.json";
+  const char* trace_path = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--trace-json") == 0 && i + 1 < argc) {
+      trace_path = argv[++i];
+    } else {
+      out_path = argv[i];
+    }
+  }
 
   const double losses[] = {0.0, 1.0, 5.0, 20.0};
   std::vector<SweepResult> sweep;
@@ -234,7 +255,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const FailoverResult fo = run_failover();
+  const FailoverResult fo = run_failover(trace_path != nullptr);
   std::printf("\nfailover: %zu/%zu calls ok (%.1f%%) across a mid-stream home"
               " server crash, %llu reroutes, %llu retries\n",
               fo.ok, fo.calls, fo.success_pct,
@@ -255,6 +276,16 @@ int main(int argc, char** argv) {
   }
   if (!ok) {
     std::fprintf(stderr, "FAIL: resilience targets missed\n");
+  }
+
+  if (trace_path != nullptr) {
+    std::FILE* f = std::fopen(trace_path, "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", trace_path);
+      return 1;
+    }
+    std::fwrite(fo.trace_json.data(), 1, fo.trace_json.size(), f);
+    std::fclose(f);
   }
 
   if (std::FILE* f = std::fopen(out_path, "w")) {

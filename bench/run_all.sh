@@ -66,10 +66,10 @@ for name in table1_wd_faults table2_gsd_faults table3_es_faults \
 done
 
 # Merge every per-bench JSON into one object, keyed by bench name. A "host"
-# key records the core count (so parallel-engine speedups in
-# BENCH_hotpath.json's "parallel" section can be read in context) plus the
-# git revision and UTC wall time of the run, so any archived
-# BENCH_results.json can be traced back to the exact tree that produced it.
+# key records the core count (group_scale runs its cases one per core, so its
+# wall time depends on it) plus the git revision and UTC wall time of the
+# run, so any archived BENCH_results.json can be traced back to the exact
+# tree that produced it.
 results="$repo_root/BENCH_results.json"
 rm -f "$results"
 ncpus=$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc 2>/dev/null || echo 1)

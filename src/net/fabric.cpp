@@ -16,15 +16,6 @@ sim::SimTime LatencyModel::sample(std::size_t bytes, sim::Rng& rng,
   return total < 1.0 ? sim::SimTime{1} : static_cast<sim::SimTime>(total);
 }
 
-sim::SimTime LatencyModel::min_latency() const noexcept {
-  // Every term sample() adds on top of `base` is non-negative (payload
-  // bytes, cross-group extra), and the jitter draw is half-open at
-  // -raw * jitter_frac, so base * (1 - jitter_frac) truncated the same way
-  // sample() truncates is a true lower bound.
-  const double lo = static_cast<double>(base) * (1.0 - jitter_frac);
-  return lo < 1.0 ? sim::SimTime{1} : static_cast<sim::SimTime>(lo);
-}
-
 Fabric::Fabric(sim::Engine& engine, std::size_t node_count, std::size_t network_count)
     : engine_(engine),
       node_count_(node_count),
@@ -208,230 +199,25 @@ NetworkStats Fabric::total_stats() const {
   return total;
 }
 
-namespace {
-
-// Shared gauge naming for both fabric flavors.
-void publish_stats_gauges(obs::Registry& registry, const std::string& prefix,
-                          const NetworkStats& st) {
-  registry.gauge(prefix + ".messages_sent")
-      ->set(static_cast<double>(st.messages_sent));
-  registry.gauge(prefix + ".bytes_sent")->set(static_cast<double>(st.bytes_sent));
-  registry.gauge(prefix + ".messages_dropped")
-      ->set(static_cast<double>(st.messages_dropped));
-  registry.gauge(prefix + ".messages_lost")
-      ->set(static_cast<double>(st.messages_lost));
-  registry.gauge(prefix + ".messages_delivered")
-      ->set(static_cast<double>(st.messages_delivered));
-}
-
-}  // namespace
-
 std::uint64_t Fabric::register_metrics(obs::Registry& registry,
                                        std::string prefix) {
   return registry.register_probe(
       [this, prefix = std::move(prefix)](obs::Registry& r) {
-        publish_stats_gauges(r, prefix, total_stats());
+        const NetworkStats st = total_stats();
+        r.gauge(prefix + ".messages_sent")
+            ->set(static_cast<double>(st.messages_sent));
+        r.gauge(prefix + ".bytes_sent")->set(static_cast<double>(st.bytes_sent));
+        r.gauge(prefix + ".messages_dropped")
+            ->set(static_cast<double>(st.messages_dropped));
+        r.gauge(prefix + ".messages_lost")
+            ->set(static_cast<double>(st.messages_lost));
+        r.gauge(prefix + ".messages_delivered")
+            ->set(static_cast<double>(st.messages_delivered));
       });
 }
 
 void Fabric::reset_stats() {
   for (auto& st : stats_) st = NetworkStats{};
-}
-
-// ---------------------------------------------------------------------------
-// ShardedFabric
-// ---------------------------------------------------------------------------
-
-ShardedFabric::ShardedFabric(sim::ParallelEngine& engine,
-                             std::vector<std::uint32_t> node_shard,
-                             std::size_t network_count)
-    : engine_(engine),
-      node_shard_(std::move(node_shard)),
-      network_count_(network_count),
-      interface_up_(node_shard_.size() * network_count, 1),
-      shard_state_(engine.shard_count()) {
-  if (network_count == 0) {
-    throw std::invalid_argument("ShardedFabric requires >= 1 network");
-  }
-  for (const std::uint32_t s : node_shard_) {
-    if (s >= engine.shard_count()) {
-      throw std::invalid_argument("ShardedFabric: node mapped to shard " +
-                                  std::to_string(s) + " but engine has only " +
-                                  std::to_string(engine.shard_count()));
-    }
-  }
-  for (auto& ps : shard_state_) ps.nets.resize(network_count);
-}
-
-bool ShardedFabric::interface_up(NodeId node, NetworkId network) const {
-  assert(node.value < node_shard_.size() && network.value < network_count_);
-  return interface_up_[index(node, network)] != 0;
-}
-
-void ShardedFabric::set_interface_up(NodeId node, NetworkId network, bool up) {
-  assert(node.value < node_shard_.size() && network.value < network_count_);
-  interface_up_[index(node, network)] = up ? 1 : 0;
-}
-
-void ShardedFabric::set_node_links_up(NodeId node, bool up) {
-  for (std::size_t n = 0; n < network_count_; ++n) {
-    set_interface_up(node, NetworkId{static_cast<std::uint8_t>(n)}, up);
-  }
-}
-
-void ShardedFabric::deliver_at_destination(const Envelope& env) {
-  // Runs on the destination node's shard. The interface may have been cut
-  // (quiescently) while the message was in flight.
-  if (!interface_up(env.to.node, env.network)) {
-    ++shard_state_[shard_of(env.to.node)].nets[env.network.value].messages_dropped;
-    return;
-  }
-  ++shard_state_[shard_of(env.to.node)].nets[env.network.value].messages_delivered;
-  if (deliver_) deliver_(env);
-}
-
-void ShardedFabric::traced_deliver(const Envelope& env, std::uint64_t trace_id,
-                                   std::uint64_t hop_id,
-                                   std::uint64_t parent_span,
-                                   sim::SimTime sent_at, bool cross_shard) {
-  // Runs on the destination node's shard with the hop span's identity in
-  // hand; record() is thread-safe, the stats slot is this shard's own.
-  const std::uint32_t ds = shard_of(env.to.node);
-  const sim::SimTime at = engine_.shard(ds).now();
-  const std::string name =
-      std::string("hop:") + std::string(env.message->type());
-  if (!interface_up(env.to.node, env.network)) {
-    ++shard_state_[ds].nets[env.network.value].messages_dropped;
-    spans_->record(obs::Span{trace_id, hop_id, parent_span, sent_at, at,
-                             "fabric", name, "dropped"});
-    return;
-  }
-  ++shard_state_[ds].nets[env.network.value].messages_delivered;
-  spans_->record(obs::Span{trace_id, hop_id, parent_span, sent_at, at, "fabric",
-                           name,
-                           cross_shard ? "delivered_cross_shard" : "delivered"});
-  obs::ContextScope scope(obs::TraceContext{trace_id, hop_id}, sent_at);
-  if (deliver_) deliver_(env);
-}
-
-bool ShardedFabric::send(const Address& from, const Address& to, NetworkId network,
-                         std::shared_ptr<const Message> message) {
-  assert(message != nullptr);
-  const std::uint32_t fs = shard_of(from.node);
-  const std::uint32_t ts = shard_of(to.node);
-  sim::Engine& src = engine_.shard(fs);
-  NetworkStats& st = shard_state_[fs].nets.at(network.value);
-  const std::size_t bytes = kWireHeaderBytes + message->wire_size();
-
-  if (!interface_up(from.node, network) || !interface_up(to.node, network)) {
-    ++st.messages_dropped;
-    return false;
-  }
-
-  ++st.messages_sent;
-  st.bytes_sent += bytes;
-  st.bytes_by_type.slot(message->type_id()) += bytes;
-
-  const bool traced = spans_ != nullptr && spans_->enabled();
-
-  if (latency_.loss_probability > 0.0 &&
-      src.rng().chance(latency_.loss_probability)) {
-    ++st.messages_lost;  // vanished on the wire; sender cannot tell
-    if (traced) {
-      const obs::TraceContext parent = obs::current_context();
-      const std::uint64_t trace_id =
-          parent.active() ? parent.trace_id : spans_->mint_id();
-      spans_->record(obs::Span{
-          trace_id, spans_->mint_id(), parent.parent_span_id, src.now(),
-          src.now(), "fabric",
-          std::string("hop:") + std::string(message->type()), "lost"});
-    }
-    return true;
-  }
-
-  const bool cross_group =
-      group_size_ > 0 &&
-      from.node.value / group_size_ != to.node.value / group_size_;
-  sim::SimTime latency = latency_.sample(bytes, src.rng(), cross_group);
-  Envelope env{from, to, network, std::move(message)};
-
-  if (traced) {
-    const obs::TraceContext parent = obs::current_context();
-    const std::uint64_t trace_id =
-        parent.active() ? parent.trace_id : spans_->mint_id();
-    const std::uint64_t hop_id = spans_->mint_id();
-    const std::uint64_t pspan = parent.parent_span_id;
-    const sim::SimTime sent_at = src.now();
-    if (fs == ts) {
-      src.schedule_after(latency,
-                         [this, env = std::move(env), trace_id, hop_id, pspan,
-                          sent_at] {
-                           traced_deliver(env, trace_id, hop_id, pspan, sent_at,
-                                          /*cross_shard=*/false);
-                         });
-    } else {
-      ++shard_state_[fs].cross_sent;
-      if (latency < engine_.lookahead()) latency = engine_.lookahead();
-      engine_.post_cross(fs, ts, src.now() + latency,
-                         [this, env = std::move(env), trace_id, hop_id, pspan,
-                          sent_at] {
-                           traced_deliver(env, trace_id, hop_id, pspan, sent_at,
-                                          /*cross_shard=*/true);
-                         });
-    }
-    return true;
-  }
-
-  if (fs == ts) {
-    src.schedule_after(latency,
-                       [this, env = std::move(env)] { deliver_at_destination(env); });
-  } else {
-    ++shard_state_[fs].cross_sent;
-    // With lookahead <= latency_model().min_latency() this clamp is a no-op;
-    // it keeps conservatism unconditional if the model is tightened later.
-    if (latency < engine_.lookahead()) latency = engine_.lookahead();
-    engine_.post_cross(
-        fs, ts, src.now() + latency,
-        [this, env = std::move(env)] { deliver_at_destination(env); });
-  }
-  return true;
-}
-
-NetworkStats ShardedFabric::stats(NetworkId network) const {
-  NetworkStats total;
-  for (const auto& ps : shard_state_) total.add(ps.nets.at(network.value));
-  return total;
-}
-
-NetworkStats ShardedFabric::total_stats() const {
-  NetworkStats total;
-  for (const auto& ps : shard_state_) {
-    for (const auto& st : ps.nets) total.add(st);
-  }
-  return total;
-}
-
-std::uint64_t ShardedFabric::register_metrics(obs::Registry& registry,
-                                              std::string prefix) {
-  return registry.register_probe(
-      [this, prefix = std::move(prefix)](obs::Registry& r) {
-        publish_stats_gauges(r, prefix, total_stats());
-        r.gauge(prefix + ".cross_shard_sent")
-            ->set(static_cast<double>(cross_shard_sent()));
-      });
-}
-
-std::uint64_t ShardedFabric::cross_shard_sent() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& ps : shard_state_) n += ps.cross_sent;
-  return n;
-}
-
-void ShardedFabric::reset_stats() {
-  for (auto& ps : shard_state_) {
-    for (auto& st : ps.nets) st = NetworkStats{};
-    ps.cross_sent = 0;
-  }
 }
 
 }  // namespace phoenix::net

@@ -22,7 +22,6 @@
 #include "obs/metrics.h"
 #include "obs/span_store.h"
 #include "sim/engine.h"
-#include "sim/parallel_engine.h"
 
 namespace phoenix::net {
 
@@ -41,12 +40,6 @@ struct LatencyModel {
 
   sim::SimTime sample(std::size_t bytes, sim::Rng& rng,
                       bool cross_group = false) const;
-
-  /// Conservative lower bound on any value sample() can return: the
-  /// zero-payload message, no cross-group extra, maximum negative jitter.
-  /// This is the largest safe lookahead for a ParallelEngine driving a
-  /// ShardedFabric built on this model (never 0 — sample() floors at 1us).
-  sim::SimTime min_latency() const noexcept;
 };
 
 /// Per-network traffic counters. The per-type breakdown is indexed by
@@ -61,7 +54,7 @@ struct NetworkStats {
   TypeCounts bytes_by_type;
 
   /// Accumulates `other` into this — the one merge used by every
-  /// per-network / per-shard aggregation (no more open-coded field sums).
+  /// per-network aggregation (no more open-coded field sums).
   void add(const NetworkStats& other) {
     messages_sent += other.messages_sent;
     bytes_sent += other.bytes_sent;
@@ -194,104 +187,6 @@ class Fabric {
   std::unordered_set<std::uint64_t> blocked_links_;  // directional, link_key()
   std::vector<sim::SimTime> send_delay_;             // [node]; empty until used
   std::vector<NetworkStats> stats_;
-  obs::SpanStore* spans_ = nullptr;
-};
-
-/// Shard-aware fabric for the conservative parallel engine.
-///
-/// Same transport semantics as Fabric — per-(node, network) interface state,
-/// LatencyModel sampling, per-network byte/message accounting — but the
-/// simulated cluster is partitioned across a ParallelEngine's shards by a
-/// node->shard map:
-///   - intra-shard sends schedule delivery on the sending shard's engine;
-///   - cross-shard sends go through the parallel engine's SPSC mailboxes,
-///     with the sampled latency clamped up to the lookahead (choose the
-///     lookahead <= latency_model().min_latency() and the clamp never fires).
-///
-/// Thread discipline: send() must run on the thread currently executing the
-/// sending node's shard; the delivery handler is invoked on the destination
-/// node's shard and must only touch that shard's state. Latency jitter and
-/// loss draw from the *sending* shard's RNG stream, so runs are reproducible
-/// for a fixed shard count. Traffic stats are kept per sending shard
-/// (delivery-time drops per receiving shard) — aggregate only while the
-/// engine is quiescent. Topology mutations (set_interface_up and friends)
-/// are quiescent-only too: they are rare control-plane actions between
-/// run_until() calls, not data-plane traffic.
-class ShardedFabric {
- public:
-  using DeliveryHandler = std::function<void(const Envelope&)>;
-
-  /// `node_shard[n]` is the shard owning node n; every value must be less
-  /// than `engine.shard_count()`.
-  ShardedFabric(sim::ParallelEngine& engine, std::vector<std::uint32_t> node_shard,
-                std::size_t network_count);
-
-  std::size_t node_count() const noexcept { return node_shard_.size(); }
-  std::size_t network_count() const noexcept { return network_count_; }
-  std::uint32_t shard_of(NodeId node) const { return node_shard_.at(node.value); }
-
-  void set_delivery_handler(DeliveryHandler handler) { deliver_ = std::move(handler); }
-
-  /// As Fabric::set_span_store. Wire-hop spans for cross-shard messages get
-  /// outcome "delivered_cross_shard"; the span is recorded on the
-  /// destination shard's thread (SpanStore::record is thread-safe) and the
-  /// ContextScope re-establishes the trace across the mailbox boundary.
-  void set_span_store(obs::SpanStore* store) noexcept { spans_ = store; }
-
-  /// As Fabric::register_metrics, with per-shard slots merged into one
-  /// snapshot plus "<prefix>.cross_shard_sent". Quiescent-only (probes run
-  /// at Registry::snapshot_json time).
-  std::uint64_t register_metrics(obs::Registry& registry, std::string prefix);
-
-  /// Quiescent-only mutation; keep min_latency() >= the engine's lookahead
-  /// or cross-shard latencies get clamped up to it.
-  LatencyModel& latency_model() noexcept { return latency_; }
-
-  /// Two-level topology, as Fabric::set_group_size.
-  void set_group_size(std::size_t nodes_per_group) noexcept {
-    group_size_ = nodes_per_group;
-  }
-
-  bool interface_up(NodeId node, NetworkId network) const;
-  void set_interface_up(NodeId node, NetworkId network, bool up);
-  void set_node_links_up(NodeId node, bool up);
-
-  /// Sends from->to over `network`; same contract as Fabric::send. Must be
-  /// called from the sending node's shard context.
-  bool send(const Address& from, const Address& to, NetworkId network,
-            std::shared_ptr<const Message> message);
-
-  // --- stats (quiescent only) ----------------------------------------------
-
-  /// Aggregated over shards for one network / over everything.
-  NetworkStats stats(NetworkId network) const;
-  NetworkStats total_stats() const;
-  /// Messages that crossed a shard boundary (subset of messages_sent).
-  std::uint64_t cross_shard_sent() const noexcept;
-  void reset_stats();
-
- private:
-  struct alignas(64) PerShard {
-    std::vector<NetworkStats> nets;  // [network]
-    std::uint64_t cross_sent = 0;
-  };
-
-  std::size_t index(NodeId node, NetworkId network) const {
-    return static_cast<std::size_t>(node.value) * network_count_ + network.value;
-  }
-  void deliver_at_destination(const Envelope& env);
-  void traced_deliver(const Envelope& env, std::uint64_t trace_id,
-                      std::uint64_t hop_id, std::uint64_t parent_span,
-                      sim::SimTime sent_at, bool cross_shard);
-
-  sim::ParallelEngine& engine_;
-  std::vector<std::uint32_t> node_shard_;
-  std::size_t network_count_;
-  std::size_t group_size_ = 0;
-  std::vector<char> interface_up_;  // [node * network_count + network]
-  LatencyModel latency_;
-  DeliveryHandler deliver_;
-  std::vector<PerShard> shard_state_;  // [shard]
   obs::SpanStore* spans_ = nullptr;
 };
 

@@ -14,10 +14,8 @@
 // instead: a closure run at snapshot time that publishes gauges, keeping
 // the data plane untouched between snapshots.
 //
-// Thread discipline: the registry is NOT thread-safe. Mutate it from the
-// owning (cluster) thread, or — for ShardedFabric worlds — only while the
-// parallel engine is quiescent. Probes follow the same rule because they
-// read quiescent-only stats.
+// Thread discipline: the registry is NOT thread-safe. Mutate it, and run
+// its probes, only from the thread that runs the owning cluster's engine.
 #pragma once
 
 #include <cstddef>

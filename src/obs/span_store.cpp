@@ -6,31 +6,18 @@
 namespace phoenix::obs {
 
 void SpanStore::set_capacity(std::size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
   capacity_ = n;
   while (spans_.size() > capacity_) spans_.pop_front();
 }
 
 void SpanStore::record(Span span) {
   if (!enabled_) return;
-  std::lock_guard<std::mutex> lock(mu_);
   ++recorded_;
   spans_.push_back(std::move(span));
   while (spans_.size() > capacity_) spans_.pop_front();
 }
 
-std::deque<Span> SpanStore::spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
-}
-
-std::size_t SpanStore::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
-}
-
 void SpanStore::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   spans_.clear();
 }
 
@@ -48,7 +35,6 @@ void append_json_string(std::ostringstream& out, const std::string& s) {
 }  // namespace
 
 std::string SpanStore::to_chrome_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream out;
   out << "{\"traceEvents\":[";
   bool first = true;

@@ -7,18 +7,19 @@
 // no open-span bookkeeping.
 //
 // Cost discipline: `enabled()` is the one branch instrumented code checks;
-// everything else (id minting, the mutex, string copies) happens only when
-// tracing is on. record() is thread-safe because ShardedFabric records wire
-// hops from parallel worker threads.
+// everything else (id minting, string copies) happens only when tracing is
+// on.
+//
+// Thread discipline: not thread-safe. Each Cluster owns one store, used only
+// by the thread that runs that cluster's engine.
 //
 // Export is Chrome trace-event JSON ("X" complete events, ts/dur in
 // microseconds = sim-time units), loadable in Perfetto / chrome://tracing.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 
 #include "obs/trace_context.h"
@@ -46,21 +47,16 @@ class SpanStore {
   void set_capacity(std::size_t n);
   std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Fresh unique id, usable as a trace id or span id. Ids are minted from
-  /// one atomic counter: unique across threads, not stable across thread
-  /// counts (the tree *structure* is what determinism tests assert on).
-  std::uint64_t mint_id() noexcept {
-    return next_id_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// Fresh unique id, usable as a trace id or span id.
+  std::uint64_t mint_id() noexcept { return next_id_++; }
 
   /// Appends a completed span. No-op when disabled (callers normally check
   /// enabled() first and skip building the span at all).
   void record(Span span);
 
-  /// Snapshot of retained spans, oldest-first. Takes the lock — call while
-  /// any parallel engine is quiescent.
-  std::deque<Span> spans() const;
-  std::size_t size() const;
+  /// Retained spans, oldest-first.
+  const std::deque<Span>& spans() const noexcept { return spans_; }
+  std::size_t size() const noexcept { return spans_.size(); }
   std::uint64_t recorded_total() const noexcept { return recorded_; }
   void clear();
 
@@ -72,8 +68,7 @@ class SpanStore {
  private:
   bool enabled_ = false;
   std::size_t capacity_ = 65536;
-  std::atomic<std::uint64_t> next_id_{1};
-  mutable std::mutex mu_;
+  std::uint64_t next_id_ = 1;
   std::deque<Span> spans_;
   std::uint64_t recorded_ = 0;
 };

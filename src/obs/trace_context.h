@@ -10,10 +10,9 @@
 // exactly the size it was before tracing existed; the traced path pays for
 // its fatter closures, the untraced path pays one branch.
 //
-// Thread-local means the ambient frame is naturally per-shard under the
-// ParallelEngine: each worker thread carries its own frame, and the
-// cross-shard mailbox closure re-establishes the context on the
-// destination shard's thread.
+// Thread-local means each thread that runs a simulation carries its own
+// frame, so independent trials on worker threads (sim::run_parallel_trials)
+// never see each other's context.
 #pragma once
 
 #include <cstdint>

@@ -100,14 +100,6 @@ class Engine {
   /// Number of events still pending.
   std::size_t pending() const noexcept { return live_; }
 
-  /// Time of the earliest queued entry — live or lazily-cancelled ghost — or
-  /// kNever when the queue is empty. A lower bound on when the next event
-  /// can fire; the parallel engine uses it to fast-forward over idle time
-  /// windows without popping (ghosts make it conservative, never wrong).
-  SimTime next_time_lower_bound() const noexcept {
-    return queue_.empty() ? kNever : queue_.top().time;
-  }
-
   /// Total events executed since construction.
   std::uint64_t executed() const noexcept { return executed_; }
 

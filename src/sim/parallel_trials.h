@@ -8,6 +8,7 @@
 // configurations across cores.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <exception>
 #include <mutex>

@@ -73,7 +73,7 @@ std::uint64_t derive_stream_seed(std::uint64_t root_seed,
                                  std::uint64_t stream_id) noexcept {
   // Mix the stream id into the root with a distinct odd multiplier, then run
   // two SplitMix64 rounds so every output bit depends on every input bit of
-  // both the root and the id (adjacent shard ids land far apart).
+  // both the root and the id (adjacent stream ids land far apart).
   std::uint64_t x = root_seed ^ (0xd1b54a32d192ed03ULL * (stream_id + 1));
   const std::uint64_t a = splitmix64(x);
   return splitmix64(x) ^ rotl(a, 23);

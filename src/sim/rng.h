@@ -42,13 +42,11 @@ class Rng {
 
 /// Derives an independent child seed from a root seed and a stream id.
 ///
-/// The parallel engine gives every shard its own Rng seeded with
-/// derive_stream_seed(root, shard): for a fixed shard count a parallel run
-/// is bit-reproducible regardless of how shards are interleaved across
-/// worker threads, because no shard ever draws from another shard's stream.
-/// The derivation is pure (same inputs -> same seed) and decorrelates
-/// adjacent stream ids through two SplitMix64 rounds, so shard 0 and shard 1
-/// do not see shifted copies of one sequence.
+/// Seeding each RNG consumer with derive_stream_seed(root, id) gives it its
+/// own stream, so adding or removing draws in one consumer cannot shift the
+/// draws of another. The derivation is pure (same inputs -> same seed) and
+/// decorrelates adjacent stream ids through two SplitMix64 rounds, so
+/// streams 0 and 1 do not see shifted copies of one sequence.
 std::uint64_t derive_stream_seed(std::uint64_t root_seed,
                                  std::uint64_t stream_id) noexcept;
 

@@ -12,7 +12,6 @@
 #include "net/fabric.h"
 #include "obs/span_store.h"
 #include "obs/trace_context.h"
-#include "sim/parallel_engine.h"
 
 namespace phoenix::obs {
 namespace {
@@ -251,54 +250,6 @@ TEST(FabricObsTest, DisabledStoreLeavesUntracedPathAlone) {
   eng.run();
   EXPECT_EQ(handled, 1u);
   EXPECT_EQ(spans.size(), 0u);
-}
-
-TEST(ShardedFabricObsTest, CrossShardSpanAndMergedStats) {
-  // Two shards, one node each, sequential mode (threads=0) so everything is
-  // deterministic and runs on this thread.
-  sim::ParallelEngine pe({.shards = 2,
-                          .threads = 0,
-                          .lookahead = net::LatencyModel{}.min_latency(),
-                          .seed = 99});
-  net::ShardedFabric fabric(pe, {0, 1}, 1);
-  SpanStore spans;
-  spans.set_enabled(true);
-  fabric.set_span_store(&spans);
-
-  TraceContext seen;
-  fabric.set_delivery_handler(
-      [&](const net::Envelope&) { seen = current_context(); });
-
-  const std::uint64_t trace = spans.mint_id();
-  const std::uint64_t parent = spans.mint_id();
-  pe.shard(0).schedule_at(10, [&] {
-    ContextScope scope(TraceContext{trace, parent});
-    fabric.send({net::NodeId{0}, net::PortId{1}},
-                {net::NodeId{1}, net::PortId{1}}, net::NetworkId{0},
-                std::make_shared<ObsPingMsg>());
-  });
-  pe.run_until(10 * sim::kMillisecond);
-
-  ASSERT_EQ(spans.size(), 1u);
-  const Span hop = spans.spans().front();
-  EXPECT_EQ(hop.outcome, "delivered_cross_shard");
-  EXPECT_EQ(hop.trace_id, trace);
-  EXPECT_EQ(hop.parent_span_id, parent);
-  EXPECT_EQ(seen.trace_id, trace);
-  EXPECT_EQ(seen.parent_span_id, hop.span_id);
-
-  const net::NetworkStats total = fabric.total_stats();
-  EXPECT_EQ(total.messages_sent, 1u);
-  EXPECT_EQ(total.messages_delivered, 1u);
-  EXPECT_EQ(fabric.cross_shard_sent(), 1u);
-
-  // register_metrics publishes the merged stats as gauges at snapshot time.
-  Registry reg;
-  reg.set_enabled(true);
-  fabric.register_metrics(reg, "sf");
-  reg.snapshot_json();
-  EXPECT_DOUBLE_EQ(reg.find_gauge("sf.messages_delivered")->value(), 1.0);
-  EXPECT_DOUBLE_EQ(reg.find_gauge("sf.cross_shard_sent")->value(), 1.0);
 }
 
 // --- cluster / admin integration -------------------------------------------

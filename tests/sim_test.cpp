@@ -1,9 +1,12 @@
-// Unit tests for the discrete-event engine, RNG, and periodic tasks.
+// Unit tests for the discrete-event engine, RNG, stream seeds, periodic tasks.
 #include "sim/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
+
+#include "sim/rng.h"
 
 namespace phoenix::sim {
 namespace {
@@ -84,22 +87,6 @@ TEST(EngineTest, CancelInvalidIdReturnsFalse) {
   Engine engine;
   EXPECT_FALSE(engine.cancel(EventId{}));
   EXPECT_FALSE(engine.cancel(EventId{999}));
-}
-
-TEST(EngineTest, NextTimeLowerBoundTracksQueueHead) {
-  Engine engine;
-  EXPECT_EQ(engine.next_time_lower_bound(), kNever);  // empty queue
-  const EventId early = engine.schedule_at(100, [] {});
-  engine.schedule_at(300, [] {});
-  EXPECT_EQ(engine.next_time_lower_bound(), 100u);
-  // A lazily-cancelled head is a ghost: still a valid (conservative) lower
-  // bound, popped for free on the next run.
-  EXPECT_TRUE(engine.cancel(early));
-  EXPECT_LE(engine.next_time_lower_bound(), 300u);
-  engine.run_until(50);  // executes nothing, bound unchanged by clock alone
-  EXPECT_LE(engine.next_time_lower_bound(), 300u);
-  engine.run();
-  EXPECT_EQ(engine.next_time_lower_bound(), kNever);
 }
 
 TEST(EngineTest, RunUntilAdvancesClockExactly) {
@@ -287,6 +274,33 @@ TEST(RngTest, ChanceExtremes) {
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
   }
+}
+
+TEST(StreamSeedTest, DerivationIsPure) {
+  EXPECT_EQ(derive_stream_seed(42, 3), derive_stream_seed(42, 3));
+  EXPECT_EQ(derive_stream_seed(0, 0), derive_stream_seed(0, 0));
+}
+
+TEST(StreamSeedTest, AdjacentStreamsDiverge) {
+  // Child seeds differ, and the streams they seed do not overlap in their
+  // first draws (the practical "independence" separate consumers need).
+  const std::uint64_t root = 0x1234;
+  for (std::uint64_t a = 0; a < 8; ++a) {
+    for (std::uint64_t b = a + 1; b < 8; ++b) {
+      ASSERT_NE(derive_stream_seed(root, a), derive_stream_seed(root, b));
+      Rng ra(derive_stream_seed(root, a));
+      Rng rb(derive_stream_seed(root, b));
+      bool all_equal = true;
+      for (int i = 0; i < 16; ++i) {
+        if (ra.next() != rb.next()) all_equal = false;
+      }
+      ASSERT_FALSE(all_equal) << "streams " << a << " and " << b << " collide";
+    }
+  }
+}
+
+TEST(StreamSeedTest, DifferentRootsGiveDifferentStreams) {
+  EXPECT_NE(derive_stream_seed(1, 0), derive_stream_seed(2, 0));
 }
 
 }  // namespace
