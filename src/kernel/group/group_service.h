@@ -160,6 +160,10 @@ class GroupServiceDaemon final : public ServiceRuntime,
 
   /// Registers an extension service on this node for supervision.
   void supervise(SupervisedSpec spec);
+  /// The kernel services plus the extensions registered through supervise().
+  const std::vector<SupervisedSpec>& supervised() const noexcept {
+    return supervised_;
+  }
 
   NodeStatus node_status(net::NodeId node) const;
 

@@ -290,9 +290,11 @@ cluster::Daemon* PhoenixKernel::create_service(ServiceKind kind, net::PartitionI
   cluster::Daemon* created = nullptr;
   switch (kind) {
     case ServiceKind::kGroupService: {
+      // The successor supervises what its predecessor did, extensions too.
+      std::vector<SupervisedSpec> supervised = gsds_[p.value]->supervised();
       retire(std::move(gsds_[p.value]));
       auto fresh = std::make_unique<GroupServiceDaemon>(
-          cluster_, node, p, params_, this, &log_, default_supervised(),
+          cluster_, node, p, params_, this, &log_, std::move(supervised),
           params_.server_daemon_cpu_share);
       created = fresh.get();
       gsds_[p.value] = std::move(fresh);

@@ -1,5 +1,7 @@
 #include "kernel/runtime/service_runtime.h"
 
+#include <algorithm>
+
 #include "kernel/checkpoint/checkpoint_msgs.h"
 
 namespace phoenix::kernel {
@@ -144,7 +146,7 @@ void ServiceRuntime::on_start() {
   if (directory_ == nullptr) return;
   if (opts_.recover_on_start && !opts_.checkpoint_namespace.empty() &&
       params_ != nullptr) {
-    recovery_attempts_left_ = opts_.recovery_attempts;
+    recovery_attempts_left_ = kRecoveryAttempts;
     attempt_recovery_load();
   } else if (opts_.announce_up) {
     announce_up();
@@ -163,8 +165,7 @@ void ServiceRuntime::announce_up() {
   up->extension = opts_.extension;
   up->partition = opts_.partition;
   up->service = address();
-  send_any(directory_->service_address(ServiceKind::kGroupService, opts_.partition),
-           std::move(up));
+  send_any(partition_service(ServiceKind::kGroupService), std::move(up));
 }
 
 void ServiceRuntime::save_state() {
@@ -179,26 +180,24 @@ void ServiceRuntime::save_state() {
   last_save_time_ = now();
   ever_saved_ = true;
   dirty_ = false;
-  send_any(
-      directory_->service_address(ServiceKind::kCheckpointService, opts_.partition),
-      std::move(save));
+  send_any(partition_service(ServiceKind::kCheckpointService), std::move(save));
 }
 
-void ServiceRuntime::mark_dirty() {
+void ServiceRuntime::mark_dirty(sim::SimTime window) {
   if (directory_ == nullptr || opts_.checkpoint_namespace.empty()) return;
-  if (!ever_saved_ || last_save_time_ != now()) {
-    // Leading edge: the first change in this tick checkpoints immediately
-    // (identical wire behaviour to save-on-every-change when changes land
-    // on distinct ticks, which is the steady-state case).
+  if (!ever_saved_ || now() - last_save_time_ >= std::max<sim::SimTime>(window, 1)) {
+    // Leading edge: a change after a quiet stretch checkpoints immediately
+    // (identical wire behaviour to save-on-every-change when changes are
+    // further apart than the window, which is the steady-state case).
     save_state();
     return;
   }
-  // Already saved at this instant; fold further same-tick changes into one
-  // trailing flush at the end of the tick.
+  // Saved recently; fold further changes into one trailing flush at the end
+  // of the window (the end of the tick for window 0).
   dirty_ = true;
   if (flush_scheduled_) return;
   flush_scheduled_ = true;
-  engine().schedule_after(0, [this] {
+  engine().schedule_after(last_save_time_ + window - now(), [this] {
     flush_scheduled_ = false;
     if (dirty_ && alive()) save_state();
   });
@@ -219,9 +218,7 @@ void ServiceRuntime::attempt_recovery_load() {
   load->key = opts_.checkpoint_key;
   load->reply_to = address();
   load->request_id = recovery_load_id_;
-  send_any(
-      directory_->service_address(ServiceKind::kCheckpointService, opts_.partition),
-      std::move(load));
+  send_any(partition_service(ServiceKind::kCheckpointService), std::move(load));
   const std::uint64_t this_try = recovery_load_id_;
   engine().schedule_after(
       2 * sim::kSecond + params_->checkpoint_federation_fetch, [this, this_try] {
@@ -256,8 +253,7 @@ void ServiceRuntime::publish_stats() {
   stats->snapshots_saved = counters_.snapshots_saved;
   stats->restores = counters_.restores;
   stats->takeovers = counters_.takeovers;
-  send_any(directory_->service_address(ServiceKind::kDataBulletin, opts_.partition),
-           std::move(stats));
+  send_any(partition_service(ServiceKind::kDataBulletin), std::move(stats));
 }
 
 }  // namespace phoenix::kernel

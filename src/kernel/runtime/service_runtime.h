@@ -101,10 +101,9 @@ class ServiceRuntime : public cluster::Daemon {
     /// (immediately on start, or after recovery completes / gives up).
     bool announce_up = false;
     /// Load the snapshot back from the checkpoint federation before
-    /// announcing (requires a directory, FtParams, and a namespace).
+    /// announcing (requires a directory, FtParams, and a namespace); up to
+    /// kRecoveryAttempts loads, then the service comes up empty-handed.
     bool recover_on_start = false;
-    /// Load attempts before coming up empty-handed.
-    int recovery_attempts = 5;
     /// Extension component name stamped into ServiceUpMsg (empty for the
     /// built-in kernel services).
     std::string extension{};
@@ -141,6 +140,11 @@ class ServiceRuntime : public cluster::Daemon {
 
   ServiceDirectory* directory() const noexcept { return directory_; }
   const Options& options() const noexcept { return opts_; }
+
+  /// Address of the `kind` instance serving this service's partition.
+  net::Address partition_service(ServiceKind kind) const {
+    return directory_->service_address(kind, opts_.partition);
+  }
 
   // --- declarative dispatch -------------------------------------------------
 
@@ -259,12 +263,14 @@ class ServiceRuntime : public cluster::Daemon {
   /// Saves snapshot() into the checkpoint federation immediately.
   void save_state();
 
-  /// Checkpoint-on-change with per-tick coalescing: the first change in a
-  /// simulation tick saves immediately (leading edge); further changes in
-  /// the same tick are folded into one trailing flush at the end of the
-  /// tick. Cuts the save traffic of burst updates (e.g. an EsSyncMsg batch)
-  /// from O(changes) to at most two messages per tick.
-  void mark_dirty();
+  /// Checkpoint-on-change, coalesced over `window`. A change saves at once
+  /// (leading edge) unless a save went out in the last max(window, 1 us);
+  /// otherwise one trailing flush at last save + window folds every change
+  /// in between. Window 0 coalesces per simulation tick, cutting a burst
+  /// (e.g. an EsSyncMsg batch) to at most two saves per tick; a positive
+  /// window bounds saves to two per window, and a crash loses at most
+  /// `window` of recent changes.
+  void mark_dirty(sim::SimTime window = 0);
 
  private:
   void handle(const net::Envelope& env) final;
@@ -302,6 +308,7 @@ class ServiceRuntime : public cluster::Daemon {
   std::unordered_map<std::uint32_t, std::uint64_t> scoped_epochs_;
 
   // recover-on-start state (mirrors the original EventService protocol)
+  static constexpr int kRecoveryAttempts = 5;  // loads before coming up empty
   int recovery_attempts_left_ = 0;
   std::uint64_t recovery_load_id_ = 0;
 

@@ -11,15 +11,17 @@
 //  - job loading goes through the parallel process management service;
 //  - submissions are authorized by the security service;
 //  - scheduler state is checkpointed, and the GSD supervises the scheduler
-//    as an extension service — the HA the paper says PBS lacks.
+//    as an extension service — the HA the paper says PBS lacks. Like the
+//    kernel's own services it runs on kernel::ServiceRuntime, which owns its
+//    dispatch, batch dedup, checkpoint coalescing and readiness report.
 //
 // Multi-tenant scale path (DESIGN.md §13): submissions may arrive in
-// batches (PwsSubmitBatchMsg, deduplicated per batch through a ReplayCache),
-// scheduling is incremental — a dirty-pool set plus per-pool ordered pending
-// indexes and free-node sets bound each pass to the pools something actually
-// happened to — the walltime sweep pops a min-heap of expiry times instead
-// of scanning the job table, and per-tenant token buckets reject job spam
-// before it ever enters a queue.
+// batches (PwsSubmitBatchMsg, deduplicated per batch by the runtime's
+// replay cache), scheduling is incremental — a dirty-pool set plus per-pool
+// ordered pending indexes and free-node sets bound each pass to the pools
+// something actually happened to — the walltime sweep pops a min-heap of
+// expiry times instead of scanning the job table, and per-tenant token
+// buckets reject job spam before it ever enters a queue.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +33,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/daemon.h"
 #include "kernel/kernel.h"
+#include "kernel/runtime/service_runtime.h"
 #include "kernel/security/security_service.h"
-#include "net/rpc.h"
 #include "obs/metrics.h"
 #include "pws/job.h"
 #include "pws/pool.h"
@@ -211,7 +212,7 @@ struct PwsConfig {
   sim::SimTime batch_pass_delay = 1 * sim::kMillisecond;
 };
 
-class PwsScheduler final : public cluster::Daemon {
+class PwsScheduler final : public kernel::ServiceRuntime {
  public:
   PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
                kernel::PhoenixKernel& kernel, PwsConfig config);
@@ -221,9 +222,6 @@ class PwsScheduler final : public cluster::Daemon {
 
   /// Trusted local submission (bypasses the security round-trip).
   JobId submit(const SubmitRequest& request);
-
-  /// As submit(), with the typed verdict (admission control, unknown pool).
-  BatchSubmitResult submit_with_status(const SubmitRequest& request);
 
   /// Cancels a queued job; running jobs are killed on every node.
   bool cancel(JobId id);
@@ -256,16 +254,23 @@ class PwsScheduler final : public cluster::Daemon {
     bool node_alive = true;
   };
 
-  void handle(const net::Envelope& env) override;
-  void on_start() override;
-  void on_stop() override;
+  // ServiceRuntime lifecycle
+  void on_service_start() override;
+  void on_service_stop() override;
+  /// A replacement created by migration restores like an in-place restart.
+  void on_takeover() override { started_before_ = true; }
+  std::string snapshot() const override { return serialize_jobs(jobs_); }
+
+  // request handlers
+  void handle_submit(const PwsSubmitMsg& submit);
+  void handle_authz_reply(const kernel::AuthzReplyMsg& authz);
+  void handle_node_recovered(net::NodeId node);
+  void handle_reconcile_reply(const kernel::DbQueryReplyMsg& reply);
 
   // submission internals
   BatchSubmitResult submit_internal(const SubmitRequest& request,
                                     bool checkpoint_each);
   bool admit_tenant(net::SymbolId user);
-  void handle_submit_batch(const PwsSubmitBatchMsg& batch);
-  void handle_cancel_batch(const PwsCancelBatchMsg& batch);
 
   // incremental scheduling
   void schedule_pass();
@@ -306,14 +311,11 @@ class PwsScheduler final : public cluster::Daemon {
 
   // state persistence
   void checkpoint_state();
-  void save_checkpoint_now();
   void recover_state();
   void rebuild_after_restore();
   void reconcile_with_bulletin();
-  void announce_up();
   void subscribe_events();
 
-  kernel::PhoenixKernel& kernel_;
   PwsConfig config_;
 
   std::vector<Pool> pools_;  // name order, matching the historical std::map
@@ -349,15 +351,6 @@ class PwsScheduler final : public cluster::Daemon {
     sim::SimTime last_refill = 0;
   };
   std::unordered_map<std::uint32_t, TokenBucket> buckets_;
-
-  // batch dedup: one replay-cache entry per batch
-  net::ReplayCache batch_replay_{1024};
-
-  // checkpoint coalescing (the ServiceRuntime mark_dirty pattern)
-  sim::SimTime last_ckpt_time_ = 0;
-  bool ever_ckpt_ = false;
-  bool ckpt_dirty_ = false;
-  bool ckpt_flush_scheduled_ = false;
 
   // observability (cluster registry; recording gated on enabled())
   obs::Registry* metrics_ = nullptr;

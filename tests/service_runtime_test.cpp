@@ -1,15 +1,17 @@
 // ServiceRuntime tests: declarative dispatch and counters, at-most-once
 // serving via the runtime-owned ReplayCache, ReplayCache eviction edge
 // cases, the unified kill -> restart -> restore lifecycle across services,
-// takeover accounting, the per-service stats surface, and the acceptance
-// check that a brand-new service built on the runtime rides the existing
-// group-service failover machinery with no group-service edits.
+// takeover accounting, the per-service stats surface, mark_dirty's
+// checkpoint coalescing, and the acceptance check that a brand-new service
+// built on the runtime rides the existing group-service failover machinery
+// with no group-service edits.
 #include "kernel/runtime/service_runtime.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "kernel/api.h"
 #include "kernel/bulletin/data_bulletin.h"
@@ -264,6 +266,59 @@ TEST(RuntimeStatsTest, StatsRowsReachBulletinAndApi) {
   EXPECT_TRUE(done);
 }
 
+// --- one coalescing policy: mark_dirty(window) --------------------------------
+
+// snapshot() runs once per checkpoint save, so the probe records when each
+// save went out.
+class CoalescingProbe final : public ServiceRuntime {
+ public:
+  CoalescingProbe(cluster::Cluster& cluster, net::NodeId node,
+                  ServiceDirectory* directory)
+      : ServiceRuntime(cluster, "probe", node, net::PortId{61}, directory, nullptr,
+                       Options{.partition = cluster.partition_of(node),
+                               .checkpoint_namespace = "probe"}) {
+    start();
+  }
+
+  using ServiceRuntime::mark_dirty;
+  const std::vector<sim::SimTime>& saves() const noexcept { return saves_; }
+
+ private:
+  std::string snapshot() const override {
+    saves_.push_back(now());
+    return {};
+  }
+
+  mutable std::vector<sim::SimTime> saves_;
+};
+
+TEST(RuntimeCoalescingTest, MarkDirtyWindowBoundsSaves) {
+  KernelHarness h(small_cluster_spec(), fast_ft_params());
+  h.run_s(1.0);
+  CoalescingProbe probe(h.cluster, h.cluster.compute_nodes(net::PartitionId{0})[0],
+                        &h.kernel);
+  sim::Engine& engine = h.cluster.engine();
+  constexpr sim::SimTime kMs = sim::kMillisecond;
+
+  // Window 0: three changes in one tick give a leading save and one
+  // trailing flush, both in that tick.
+  const sim::SimTime t0 = engine.now();
+  for (int i = 0; i < 3; ++i) probe.mark_dirty();
+  h.run(1 * kMs);
+  EXPECT_EQ(probe.saves(), (std::vector<sim::SimTime>{t0, t0}));
+
+  // Window 10 ms: changes at t, t+1 ms and t+2 ms give the leading save at t
+  // and one flush at t+10 ms; a change at t+25 ms, past the window, saves at
+  // once.
+  const sim::SimTime t = engine.now() + 1 * sim::kSecond;
+  for (const sim::SimTime at : {t, t + 1 * kMs, t + 2 * kMs, t + 25 * kMs}) {
+    engine.schedule_at(at, [&probe] { probe.mark_dirty(10 * kMs); });
+  }
+  h.run_s(2.0);
+  EXPECT_EQ(probe.saves(), (std::vector<sim::SimTime>{t0, t0, t, t + 10 * kMs,
+                                                      t + 25 * kMs}));
+}
+
 // --- acceptance: a new service needs only the runtime -------------------------
 
 // A toy service written against ServiceRuntime alone: one message type, one
@@ -303,27 +358,35 @@ class ToyService final : public ServiceRuntime {
   std::uint64_t pokes_ = 0;
 };
 
-TEST(RuntimeExtensionTest, ToyServiceFailsOverWithoutGroupServiceEdits) {
-  KernelHarness h(small_cluster_spec(), fast_ft_params());
-  h.run_s(1.0);
+// Registers the toy as an extension, starts it on partition 0's server
+// under that partition's GSD, and pokes it three times from `client`.
+// Returns nullptr if the kernel could not create it.
+ToyService* start_poked_toy(KernelHarness& h, TestClient& client) {
   const net::PartitionId pid{0};
   const net::NodeId server = h.cluster.server_node(pid);
-
-  h.kernel.register_extension("toy", [&](net::NodeId node) {
+  h.kernel.register_extension("toy", [&h](net::NodeId node) {
     return std::make_unique<ToyService>(h.cluster, node, &h.kernel,
                                         &h.kernel.params());
   });
   auto* toy = static_cast<ToyService*>(h.kernel.create_extension("toy", server));
-  ASSERT_NE(toy, nullptr);
+  if (toy == nullptr) return nullptr;
   toy->start();
   h.kernel.gsd(pid).supervise(
       SupervisedSpec{"toy", ServiceKind::kEventService, "toy", kToyPort});
-
-  TestClient client(h.cluster, h.cluster.compute_nodes(pid)[0]);
   for (int i = 0; i < 3; ++i) {
     client.send_any({server, kToyPort}, std::make_shared<ToyPokeMsg>());
   }
   h.run_s(2.0);
+  return toy;
+}
+
+TEST(RuntimeExtensionTest, ToyServiceFailsOverWithoutGroupServiceEdits) {
+  KernelHarness h(small_cluster_spec(), fast_ft_params());
+  h.run_s(1.0);
+  const net::NodeId server = h.cluster.server_node(net::PartitionId{0});
+  TestClient client(h.cluster, h.cluster.compute_nodes(net::PartitionId{0})[0]);
+  ToyService* toy = start_poked_toy(h, client);
+  ASSERT_NE(toy, nullptr);
   EXPECT_EQ(toy->pokes(), 3u);
 
   // Kill it. Existing supervision machinery must bring it back with state.
@@ -337,6 +400,31 @@ TEST(RuntimeExtensionTest, ToyServiceFailsOverWithoutGroupServiceEdits) {
   client.send_any({server, kToyPort}, std::make_shared<ToyPokeMsg>());
   h.run_s(1.0);
   EXPECT_EQ(toy->pokes(), 4u);
+}
+
+// Crashing the host node takes the partition's GSD down with the toy. The
+// GSD that migration creates on the backup node must keep supervising the
+// extension, so the toy comes back there with its checkpointed state.
+TEST(RuntimeExtensionTest, ToyServiceSurvivesHostNodeCrash) {
+  KernelHarness h(small_cluster_spec(), fast_ft_params());
+  h.run_s(1.0);
+  const net::PartitionId pid{0};
+  const net::NodeId server = h.cluster.server_node(pid);
+  TestClient client(h.cluster, h.cluster.compute_nodes(pid)[0]);
+  const ToyService* original = start_poked_toy(h, client);
+  ASSERT_NE(original, nullptr);
+  ASSERT_EQ(original->pokes(), 3u);
+
+  h.injector.crash_node(server);
+  h.run_s(60.0);
+
+  const auto* toy = static_cast<const ToyService*>(h.kernel.extension("toy"));
+  ASSERT_NE(toy, nullptr);
+  EXPECT_TRUE(toy->alive());
+  EXPECT_NE(toy->node_id(), server);
+  EXPECT_EQ(h.cluster.partition_of(toy->node_id()), pid);
+  EXPECT_EQ(toy->pokes(), 3u);  // restored from the checkpoint federation
+  EXPECT_EQ(toy->counters().takeovers, 1u);
 }
 
 }  // namespace
