@@ -1,29 +1,38 @@
 #!/usr/bin/env sh
 # Diffs the stdout of the seven paper benches (Tables 1-4, Fig. 6, Fig. 9
-# and PWS vs PBS) against the outputs committed in bench/golden/. The
-# simulation is deterministic, so any changed byte is a behaviour change.
+# and PWS vs PBS), the eight example programs and bench/rpc_resilience
+# against the outputs committed in bench/golden/. The simulation is
+# deterministic, so any changed byte is a behaviour change. rpc_resilience
+# gates KernelApi's backoff and reroute behaviour; the examples gate the
+# business-runtime and PWS paths end to end.
 #
 # Usage: bench/check_golden.sh [build-dir]     (default: build, Release)
 #
 # A change that moves these outputs on purpose (a fixed bug, a new way of
 # drawing randomness) regenerates the files with
 #   build/bench/<name> > bench/golden/<name>.txt
+#   build/examples/<name> > bench/golden/example_<name>.txt
+#   (cd <dir> && build/bench/rpc_resilience rpc_resilience.json) \
+#     > bench/golden/rpc_resilience.txt
 # and shows the diff in its description.
 #
-# Exits non-zero if any output differs or any bench fails, after running
-# all seven.
+# Exits non-zero if any output differs or any program fails, after running
+# all of them.
 set -u
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
-build_dir=${1:-"$repo_root/build"}
+build_dir=$(CDPATH= cd -- "${1:-"$repo_root/build"}" && pwd)
 golden_dir="$repo_root/bench/golden"
 out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT
 
 failed=""
-for name in table1_wd_faults table2_gsd_faults table3_es_faults \
-            table4_linpack fig6_monitoring fig9_pws_gui pws_vs_pbs; do
-  if ! "$build_dir/bench/$name" > "$out_dir/$name.txt"; then
+# check <golden name> <command...>: runs the command in $out_dir (so files
+# it writes land there under fixed names) and diffs its stdout.
+check() {
+  name=$1
+  shift
+  if ! (cd "$out_dir" && "$@") > "$out_dir/$name.txt"; then
     echo "FAIL $name: exited non-zero" >&2
     failed="$failed $name"
   elif diff -u "$golden_dir/$name.txt" "$out_dir/$name.txt"; then
@@ -32,9 +41,19 @@ for name in table1_wd_faults table2_gsd_faults table3_es_faults \
     echo "FAIL $name: differs from bench/golden/$name.txt" >&2
     failed="$failed $name"
   fi
+}
+
+for name in table1_wd_faults table2_gsd_faults table3_es_faults \
+            table4_linpack fig6_monitoring fig9_pws_gui pws_vs_pbs; do
+  check "$name" "$build_dir/bench/$name"
 done
+for name in admin_console business_runtime construction_tool custom_user_env \
+            fault_tolerance_demo gridview_monitor pws_job_management quickstart; do
+  check "example_$name" "$build_dir/examples/$name"
+done
+check rpc_resilience "$build_dir/bench/rpc_resilience" rpc_resilience.json
 
 if [ -n "$failed" ]; then
-  echo "paper outputs changed:$failed" >&2
+  echo "golden outputs changed:$failed" >&2
   exit 1
 fi

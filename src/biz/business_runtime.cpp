@@ -18,6 +18,7 @@ BusinessRuntime::BusinessRuntime(cluster::Cluster& cluster, net::NodeId node,
     : Daemon(cluster, "biz.runtime", node, kBizPort),
       kernel_(kernel),
       config_(std::move(config)),
+      rpc_(*this),
       request_driver_(cluster.engine(),
                       config_.request_interval > 0 ? config_.request_interval
                                                    : sim::kSecond,
@@ -88,17 +89,23 @@ void BusinessRuntime::deploy(const TierSpec& tier) {
   spawn->spec.cpu_share = tier.cpu_share;
   spawn->spec.duration = 0;  // service processes run until killed
   spawn->reply_to = address();
-  spawn->request_id = ++request_seq_;
-  pending_[request_seq_] = tier.name;
-  send_any({target, kernel::port_of(kernel::ServiceKind::kProcessManager)},
-           std::move(spawn));
+  rpc_.call<kernel::SpawnReplyMsg>(
+      std::move(spawn),
+      {target, kernel::port_of(kernel::ServiceKind::kProcessManager)},
+      [this, tier = tier.name](net::Result<const kernel::SpawnReplyMsg*> spawned) {
+        if (!spawned || !spawned.value->ok) return;
+        instances_[spawned.value->pid] =
+            Instance{tier, spawned.value->node, true};
+        ++stats_.deployed;
+      },
+      {.max_retries = 0}, "spawn");
 }
 
 void BusinessRuntime::refresh_load() {
   if (!alive()) return;
   auto query = std::make_shared<kernel::DbQueryMsg>();
-  load_query_id_ = ++request_seq_;
-  query->query_id = load_query_id_;
+  load_query_id_ = rpc_.mint_id();
+  query->request_id = load_query_id_;
   query->table = kernel::BulletinTable::kNodes;
   query->cluster_scope = true;
   query->reply_to = address();
@@ -169,15 +176,7 @@ void BusinessRuntime::heal(cluster::Pid pid) {
 
 void BusinessRuntime::handle(const net::Envelope& env) {
   const net::Message& m = *env.message;
-
-  if (const auto* reply = net::message_cast<kernel::SpawnReplyMsg>(m)) {
-    auto it = pending_.find(reply->request_id);
-    if (it == pending_.end() || !reply->ok) return;
-    instances_[reply->pid] = Instance{it->second, reply->node, true};
-    pending_.erase(it);
-    ++stats_.deployed;
-    return;
-  }
+  if (rpc_.deliver(m)) return;
   if (const auto* notify = net::message_cast<kernel::EsNotifyMsg>(m)) {
     const kernel::Event& e = notify->event;
     if (e.type == kernel::event_types::kAppExited) {
@@ -196,7 +195,7 @@ void BusinessRuntime::handle(const net::Envelope& env) {
     return;
   }
   if (const auto* reply = net::message_cast<kernel::DbQueryReplyMsg>(m)) {
-    if (reply->query_id != load_query_id_) return;
+    if (reply->request_id != load_query_id_) return;
     node_cpu_.clear();
     for (const auto& row : reply->node_rows) {
       node_cpu_[row.node.value] = row.usage.cpu_pct;

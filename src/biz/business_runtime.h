@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cluster/daemon.h"
+#include "cluster/rpc_client.h"
 #include "kernel/kernel.h"
 
 namespace phoenix::biz {
@@ -95,11 +96,12 @@ class BusinessRuntime final : public cluster::Daemon {
   kernel::PhoenixKernel& kernel_;
   BizConfig config_;
   std::map<cluster::Pid, Instance> instances_;
-  std::map<std::uint64_t, std::string> pending_;  // spawn request -> tier
-  std::map<std::uint32_t, double> node_cpu_;      // bulletin-fed load cache
+  std::map<std::uint32_t, double> node_cpu_;  // bulletin-fed load cache
   BizStats stats_;
-  std::uint64_t request_seq_ = 0;
+  cluster::RpcClient rpc_;  // spawns; also mints the load query ids
   std::size_t next_placement_ = 0;
+  /// The latest load query: its reply is the only one applied, and the
+  /// next refresh is the retry.
   std::uint64_t load_query_id_ = 0;
   sim::PeriodicTask request_driver_;
   sim::PeriodicTask load_refresher_;

@@ -106,6 +106,8 @@ class Daemon {
   virtual void handle(const net::Envelope& env) = 0;
 
  private:
+  friend class RpcClient;  // sends, traces and times calls as its owner
+
   Cluster& cluster_;
   std::string name_;
   NodeId node_;

@@ -1,0 +1,171 @@
+// RpcClient — the client half of every point-to-point request/reply
+// exchange a daemon starts (DESIGN.md §9).
+//
+// The owning daemon hands the client every envelope it receives (deliver()).
+// A call mints the request id, stamps it (and the attempt ordinal, where the
+// request has one) into the request and sends it from the owner's address,
+// so the request's reply_to stays the owner's and no wire byte changes. It
+// then runs net::RetryPolicy's timer: attempt n waits rto_for(n), jittered
+// only on retries and capped at the call's deadline, then retransmits or
+// fails. Replies match on their request_id. Every call completes exactly once
+// with a net::Result; the client keeps the call/attempt spans, the latency
+// histogram and the per-status counters. A timer that fires while the owner
+// is dead fails its call without sending and without drawing jitter.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "cluster/daemon.h"
+#include "net/message.h"
+#include "net/rpc.h"
+#include "obs/metrics.h"
+#include "obs/trace_context.h"
+
+namespace phoenix::cluster {
+
+class RpcClient {
+ public:
+  using Status = net::Status;
+
+  /// Where one attempt goes. An attempt sent elsewhere than the previous one
+  /// (the first: than `home`, the preferred target) counts as a reroute.
+  struct Route {
+    net::Address target;
+    net::Address home;
+  };
+  /// Re-evaluated before every attempt (directory re-resolution, failover).
+  using Router = std::function<Route()>;
+
+  explicit RpcClient(Daemon& owner, net::RetryPolicy policy = {});
+  ~RpcClient();
+  RpcClient(const RpcClient&) = delete;
+  RpcClient& operator=(const RpcClient&) = delete;
+
+  /// Backoff schedule and default retry budget of every call.
+  net::RetryPolicy& policy() noexcept { return policy_; }
+  const net::RetryPolicy& policy() const noexcept { return policy_; }
+
+  /// Deadline of calls whose CallOptions::deadline is 0.
+  void set_default_deadline(sim::SimTime t) noexcept { default_deadline_ = t; }
+  sim::SimTime default_deadline() const noexcept { return default_deadline_; }
+
+  /// Next id of the owner's request-id space. Requests the owner sends
+  /// without waiting for a reply draw from it too, so no two of its requests
+  /// share an id at a server's replay cache.
+  std::uint64_t mint_id() noexcept { return next_id_++; }
+
+  /// Sends `request` and completes `done(net::Result<const Reply*>)` with the
+  /// reply (valid during the callback) or the failure status.
+  template <typename Reply, typename Req, typename Done>
+  void call(std::shared_ptr<Req> request, Router route, Done&& done,
+            net::CallOptions opts = {}, const char* op = "call") {
+    static_assert(std::is_final_v<Reply>, "replies match by exact type id");
+    const std::uint64_t id = mint_id();
+    request->request_id = id;
+    Call c;
+    if constexpr (requires { request->attempt; }) c.attempt_field = &request->attempt;
+    c.reply_type = expect_reply<Reply>();
+    c.request = std::move(request);
+    c.route = std::move(route);
+    c.done = [done = std::forward<Done>(done)](Status s, const net::Message* m) {
+      using R = net::Result<const Reply*>;
+      done(s == Status::kOk ? R::success(static_cast<const Reply*>(m)) : R::failure(s));
+    };
+    launch(id, std::move(c), opts, op);
+  }
+
+  /// Same, to a fixed address.
+  template <typename Reply, typename Req, typename Done>
+  void call(std::shared_ptr<Req> request, net::Address to, Done&& done,
+            net::CallOptions opts = {}, const char* op = "call") {
+    call<Reply>(std::move(request), Router([to] { return Route{to, to}; }),
+                std::forward<Done>(done), opts, op);
+  }
+
+  /// One-way request: completes kOk once an attempt is on the wire, so it is
+  /// never sent twice; attempts repeat only while none could be transmitted.
+  void send(std::shared_ptr<const net::Message> request, Router route,
+            std::function<void(Status)> done, net::CallOptions opts = {},
+            const char* op = "send");
+
+  /// Completes the pending call `reply` answers. False when `reply` is not a
+  /// reply type this client waits on; one that matches no pending call is
+  /// counted as a duplicate.
+  bool deliver(const net::Message& reply);
+
+  /// Forgets every pending call without completing it (the owner restarted:
+  /// the process that waited is gone).
+  void drop_all();
+
+  std::size_t pending_calls() const noexcept { return calls_.size(); }
+  std::uint64_t completed_ok() const noexcept { return completed_ok_; }
+  std::uint64_t retries_sent() const noexcept { return retries_; }
+  std::uint64_t reroutes() const noexcept { return reroutes_; }
+  std::uint64_t timed_out_calls() const noexcept { return timeouts_; }
+  std::uint64_t exhausted_calls() const noexcept { return exhausted_; }
+  std::uint64_t unreachable_calls() const noexcept { return unreachable_; }
+  std::uint64_t duplicate_replies() const noexcept { return duplicate_replies_; }
+
+ private:
+  struct Call {
+    std::shared_ptr<const net::Message> request;
+    std::uint16_t* attempt_field = nullptr;  // request's attempt ordinal slot
+    Router route;
+    std::function<void(Status, const net::Message*)> done;
+    net::MessageTypeId reply_type;  // invalid for one-way calls
+    bool one_way = false;           // completes kOk at transmit time
+    net::CallOptions opts;          // resolved (no inherit markers left)
+    sim::SimTime issued_at = 0;
+    sim::SimTime deadline_at = 0;
+    int attempt = 0;           // attempts started (1 = first send)
+    bool transmitted = false;  // at least one attempt reached the fabric
+    net::Address last_target;
+    sim::EventId timer{};
+    const char* op = "";  // span name suffix, e.g. "config_set"
+    /// When tracing: trace id plus the root ("call:") span's own id, which
+    /// parents every attempt span and every downstream hop.
+    obs::TraceContext ctx;
+  };
+  using Calls = std::unordered_map<std::uint64_t, Call>;
+
+  /// Lets deliver() read Reply's request_id; returns Reply's type id.
+  template <typename Reply>
+  net::MessageTypeId expect_reply() {
+    const net::MessageTypeId type = Reply::static_type_id();
+    if (type.value >= reply_ids_.size()) reply_ids_.resize(type.value + std::size_t{1});
+    reply_ids_[type.value] = [](const net::Message& m) {
+      return static_cast<const Reply&>(m).request_id;
+    };
+    return type;
+  }
+
+  void launch(std::uint64_t id, Call call, net::CallOptions opts, const char* op);
+  void start_attempt(std::uint64_t id);
+  void on_timer(std::uint64_t id);
+  void fail(Calls::iterator it, Status status);
+  /// Removes the call, cancels its timer, records its span and latency.
+  Call finish(Calls::iterator it, std::string_view outcome);
+
+  Daemon& owner_;
+  net::RetryPolicy policy_;
+  sim::SimTime default_deadline_ = 10 * sim::kSecond;
+  Calls calls_;
+  std::vector<std::uint64_t (*)(const net::Message&)> reply_ids_;  // by type id
+  obs::Histogram* latency_ = nullptr;  // "<owner>.call_latency_us", on first use
+  std::uint64_t next_id_ = 1;
+  std::uint64_t completed_ok_ = 0;
+  std::uint64_t retries_ = 0;
+  std::uint64_t reroutes_ = 0;
+  std::uint64_t timeouts_ = 0;
+  std::uint64_t exhausted_ = 0;
+  std::uint64_t unreachable_ = 0;
+  std::uint64_t duplicate_replies_ = 0;
+};
+
+}  // namespace phoenix::cluster

@@ -49,7 +49,7 @@ void GridView::refresh() {
   // One call against any data bulletin instance returns cluster-wide data.
   auto query = std::make_shared<kernel::DbQueryMsg>();
   pending_query_ = query_seq_++;
-  query->query_id = pending_query_;
+  query->request_id = pending_query_;
   query->table = kernel::BulletinTable::kBoth;
   query->cluster_scope = true;
   query->aggregate_only = aggregate_mode_;
@@ -63,7 +63,7 @@ void GridView::refresh() {
 void GridView::handle(const net::Envelope& env) {
   const net::Message& m = *env.message;
   if (const auto* reply = net::message_cast<kernel::DbQueryReplyMsg>(m)) {
-    if (reply->query_id != pending_query_) return;
+    if (reply->request_id != pending_query_) return;
     pending_query_ = 0;
     last_latency_ = now() - query_sent_at_;
     if (cluster().metrics().enabled()) {

@@ -3,8 +3,9 @@
 // The paper (§4.2): "Phoenix kernel provides documented interfaces and
 // parallel command calls for user environments in different forms with
 // uniformed semantics (Such as Socket, RPC and ORB etc.)". This class is
-// that uniform form: an asynchronous RPC facade over the kernel's message
-// protocols, built on the resilient substrate of net/rpc.h (DESIGN.md §9).
+// that uniform form: typed wrappers over the kernel's message protocols,
+// each one call of cluster::RpcClient — the same client every kernel daemon
+// that waits on a reply uses (DESIGN.md §9).
 //
 // Every call completes exactly once with a net::Result<T>: a typed payload
 // plus a Status the caller can branch on. Per-call CallOptions select the
@@ -29,10 +30,9 @@
 #include <vector>
 
 #include "cluster/daemon.h"
+#include "cluster/rpc_client.h"
 #include "kernel/bulletin/data_bulletin.h"
 #include "obs/metrics.h"
-#include "obs/span_store.h"
-#include "obs/trace_context.h"
 #include "kernel/checkpoint/checkpoint_service.h"
 #include "kernel/config/configuration_service.h"
 #include "kernel/event/event_service.h"
@@ -76,12 +76,12 @@ class KernelApi final : public cluster::Daemon {
   // --- client-wide defaults ---------------------------------------------------
 
   /// Deadline used when CallOptions::deadline is 0.
-  void set_default_deadline(sim::SimTime t) noexcept { default_deadline_ = t; }
-  sim::SimTime default_deadline() const noexcept { return default_deadline_; }
+  void set_default_deadline(sim::SimTime t) noexcept { rpc_.set_default_deadline(t); }
+  sim::SimTime default_deadline() const noexcept { return rpc_.default_deadline(); }
 
   /// Backoff schedule and default retry budget, tunable per client.
-  net::RetryPolicy& retry_policy() noexcept { return policy_; }
-  const net::RetryPolicy& retry_policy() const noexcept { return policy_; }
+  net::RetryPolicy& retry_policy() noexcept { return rpc_.policy(); }
+  const net::RetryPolicy& retry_policy() const noexcept { return rpc_.policy(); }
 
   // --- configuration ----------------------------------------------------------
 
@@ -156,91 +156,54 @@ class KernelApi final : public cluster::Daemon {
   // --- observability ----------------------------------------------------------
 
   /// Calls still awaiting replies.
-  std::size_t pending_calls() const noexcept { return calls_.size(); }
+  std::size_t pending_calls() const noexcept { return rpc_.pending_calls(); }
   /// Retransmissions sent (attempts after the first, across all calls).
-  std::uint64_t retries_sent() const noexcept { return retries_; }
+  std::uint64_t retries_sent() const noexcept { return rpc_.retries_sent(); }
   /// Attempts that went to a different address than the previous one
   /// (directory re-resolution or federation failover picked a new target).
-  std::uint64_t reroutes() const noexcept { return reroutes_; }
+  std::uint64_t reroutes() const noexcept { return rpc_.reroutes(); }
   /// Calls failed with kTimeout.
-  std::uint64_t timed_out_calls() const noexcept { return timeouts_; }
+  std::uint64_t timed_out_calls() const noexcept { return rpc_.timed_out_calls(); }
   /// Calls failed with kRetriesExhausted.
-  std::uint64_t exhausted_calls() const noexcept { return exhausted_; }
+  std::uint64_t exhausted_calls() const noexcept { return rpc_.exhausted_calls(); }
   /// Calls failed with kUnreachable (no attempt ever transmitted).
-  std::uint64_t unreachable_calls() const noexcept { return unreachable_; }
+  std::uint64_t unreachable_calls() const noexcept { return rpc_.unreachable_calls(); }
   /// Calls the service answered with a refusal (kDenied).
   std::uint64_t denied_calls() const noexcept { return denied_; }
   /// Replies that matched no pending call (the original answer already
   /// arrived and this is a retry's duplicate, or the call already failed).
-  std::uint64_t duplicate_replies() const noexcept { return duplicate_replies_; }
+  std::uint64_t duplicate_replies() const noexcept { return rpc_.duplicate_replies(); }
 
  private:
   void handle(const net::Envelope& env) override;
 
-  /// One in-flight call: typed completion closures plus the retry state
-  /// machine (request to retransmit, resolved options, attempt count,
-  /// backoff timer, last target for reroute accounting).
-  struct Call {
-    std::function<void(const net::Message&)> complete;  // on matched reply
-    std::function<void(Status)> fail;                   // on any failure
-    std::shared_ptr<net::Message> request;
-    std::uint16_t* attempt_field = nullptr;  // request's attempt ordinal slot
-    ServiceKind service = ServiceKind::kConfiguration;  // directory-resolved
-    bool use_directory = true;   // false: fixed_target (PPM calls)
-    bool federated = false;      // dead home -> rotate to a live instance
-    bool one_way = false;        // completes kOk at transmit time
-    net::Address fixed_target;
-    net::CallOptions opts;       // resolved (no inherit markers left)
-    sim::SimTime deadline_at = 0;
-    int attempt = 0;             // attempts started (1 = first send)
-    bool transmitted = false;    // at least one attempt reached the fabric
-    net::Address last_target;
-    sim::EventId timer{};
-    const char* op = "";         // span name suffix, e.g. "config_set"
-    sim::SimTime issued_at = 0;
-    /// When tracing: trace_id plus the root ("call:") span's own id, which
-    /// parents every attempt span and (via the ambient context at send
-    /// time) every downstream wire hop and serve span.
-    obs::TraceContext ctx;
-  };
+  /// Router for a directory-resolved service. Federated services prefer
+  /// the home partition's instance but, while its host node is down, take
+  /// the first instance (ring-wise from home) on a live node.
+  cluster::RpcClient::Router route_to(ServiceKind service, bool federated);
 
-  /// Fills in inherited defaults; !idempotent forces a single attempt.
-  net::CallOptions resolve(net::CallOptions opts) const noexcept;
+  /// Issues `request` to `to` (an address or a Router) through the client;
+  /// `map` turns the typed reply into the caller's Result (failures pass
+  /// through unmapped).
+  template <typename Reply, typename Req, typename To, typename T, typename Map>
+  void call(std::shared_ptr<Req> request, To to, Callback<T> done, Map map,
+            CallOptions opts, const char* op);
 
-  /// Registers the call under a fresh id and launches the first attempt.
-  /// The caller has already stamped the id into the request message.
-  void launch(std::uint64_t id, Call call, const char* op);
-  void record_call_span(const Call& call, std::string_view outcome);
-  void start_attempt(std::uint64_t id);
-  void on_attempt_timer(std::uint64_t id);
-  void fail_call(std::uint64_t id, Status status);
-  void finish(std::uint64_t id, const net::Message& msg);
-
-  /// Where the next attempt goes. For federated services, the first
-  /// partition (ring-wise from home) whose instance sits on a live node;
-  /// `home_out` receives the un-rotated home address (reroute accounting).
-  net::Address resolve_target(const Call& call, net::Address* home_out);
+  /// A refusal from the service: counted, and completed as kDenied.
+  template <typename T>
+  Result<T> deny() {
+    ++denied_;
+    return Result<T>::failure(Status::kDenied);
+  }
 
   PhoenixKernel& kernel_;
   net::PartitionId home_partition_;
-  sim::SimTime default_deadline_ = 10 * sim::kSecond;
-  net::RetryPolicy policy_;
-  std::unordered_map<std::uint64_t, Call> calls_;
+  cluster::RpcClient rpc_;
   std::unordered_map<cluster::Pid, std::function<void(cluster::Pid)>> exit_watch_;
   EventCallback on_event_;
-  obs::Registry* metrics_;       // cluster-owned; cached for one-branch guards
-  obs::SpanStore* spans_;        // cluster-owned
-  obs::Histogram* call_latency_; // "api.call_latency_us", registry-owned
+  obs::Registry* metrics_;  // cluster-owned
   std::uint64_t metrics_probe_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t completed_ok_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t reroutes_ = 0;
-  std::uint64_t timeouts_ = 0;
-  std::uint64_t exhausted_ = 0;
-  std::uint64_t unreachable_ = 0;
   std::uint64_t denied_ = 0;
-  std::uint64_t duplicate_replies_ = 0;
 };
 
 }  // namespace phoenix::kernel

@@ -72,7 +72,7 @@ DataBulletin::DataBulletin(cluster::Cluster& cluster, net::NodeId node,
   on<DbQueryMsg>([this](const DbQueryMsg& query) { handle_query(query); });
   on<DbPartitionQueryMsg>([this](const DbPartitionQueryMsg& pq) {
     auto reply = std::make_shared<DbQueryReplyMsg>();
-    reply->query_id = pq.query_id;
+    reply->request_id = pq.request_id;
     reply->aggregated = pq.aggregate_only;
     collect(pq.filter, pq.table, pq.aggregate_only, reply->node_rows,
             reply->app_rows, reply->summary);
@@ -89,7 +89,7 @@ DataBulletin::DataBulletin(cluster::Cluster& cluster, net::NodeId node,
   on<DbServiceStatsQueryMsg>([this](const DbServiceStatsQueryMsg& q) {
     serve_idempotent(q, [&] {
       auto reply = std::make_shared<DbServiceStatsReplyMsg>();
-      reply->query_id = q.query_id;
+      reply->request_id = q.request_id;
       reply->rows = service_stats();
       return reply;
     });
@@ -259,7 +259,7 @@ void DataBulletin::handle_query(const DbQueryMsg& q) {
   // the original's merged reply serves the retry as well. (No replay cache
   // here — queries are reads, and a fresh execution is always valid.)
   for (const auto& [id, p] : pending_) {
-    if (!p.done && p.reply_to == q.reply_to && p.query_id == q.query_id) {
+    if (!p.done && p.reply_to == q.reply_to && p.request_id == q.request_id) {
       ++duplicate_queries_;
       return;
     }
@@ -267,7 +267,7 @@ void DataBulletin::handle_query(const DbQueryMsg& q) {
   const std::uint64_t local_id = next_local_id_++;
   PendingQuery pending;
   pending.reply_to = q.reply_to;
-  pending.query_id = q.query_id;
+  pending.request_id = q.request_id;
   pending.table = q.table;
   pending.aggregate_only = q.aggregate_only;
   collect(q.filter, q.table, q.aggregate_only, pending.node_rows,
@@ -278,7 +278,7 @@ void DataBulletin::handle_query(const DbQueryMsg& q) {
       const net::PartitionId pid{static_cast<std::uint32_t>(p)};
       if (pid == partition_) continue;
       auto sub = std::make_shared<DbPartitionQueryMsg>();
-      sub->query_id = local_id;
+      sub->request_id = local_id;
       sub->table = q.table;
       sub->aggregate_only = q.aggregate_only;
       sub->filter = q.filter;
@@ -309,7 +309,7 @@ void DataBulletin::finish_query(std::uint64_t local_id) {
   pending_.erase(it);
   if (!result.reply_to.valid() || !alive()) return;
   auto reply = std::make_shared<DbQueryReplyMsg>();
-  reply->query_id = result.query_id;
+  reply->request_id = result.request_id;
   reply->node_rows = std::move(result.node_rows);
   reply->app_rows = std::move(result.app_rows);
   reply->aggregated = result.aggregate_only;
@@ -320,7 +320,7 @@ void DataBulletin::finish_query(std::uint64_t local_id) {
 
 void DataBulletin::merge_query_reply(const DbQueryReplyMsg& pr,
                                      const net::Envelope& env) {
-  auto it = pending_.find(pr.query_id);
+  auto it = pending_.find(pr.request_id);
   if (it == pending_.end() || it->second.done) return;
   PendingQuery& pending = it->second;
   if (pending.aggregate_only && pr.aggregated) {
@@ -351,7 +351,7 @@ void DataBulletin::merge_query_reply(const DbQueryReplyMsg& pr,
                             pr.app_rows.end());
   }
   pending.partitions_included += pr.partitions_included;
-  if (--pending.awaiting == 0) finish_query(pr.query_id);
+  if (--pending.awaiting == 0) finish_query(pr.request_id);
 }
 
 }  // namespace phoenix::kernel

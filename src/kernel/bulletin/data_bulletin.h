@@ -158,7 +158,7 @@ UsageSummary summarize(const std::vector<NodeRecord>& nodes,
 void merge_summary(UsageSummary& into, const UsageSummary& from);
 
 struct DbQueryMsg final : net::Message {
-  std::uint64_t query_id = 0;
+  std::uint64_t request_id = 0;
   BulletinTable table = BulletinTable::kBoth;
   bool cluster_scope = true;  // false: this partition only
   /// Aggregation pushdown: every instance summarizes locally and only the
@@ -176,7 +176,7 @@ struct DbQueryMsg final : net::Message {
 
 /// Peer-to-peer leg of a cluster-scope query.
 struct DbPartitionQueryMsg final : net::Message {
-  std::uint64_t query_id = 0;
+  std::uint64_t request_id = 0;
   BulletinTable table = BulletinTable::kBoth;
   bool aggregate_only = false;
   BulletinFilter filter;
@@ -189,7 +189,7 @@ struct DbPartitionQueryMsg final : net::Message {
 };
 
 struct DbQueryReplyMsg final : net::Message {
-  std::uint64_t query_id = 0;
+  std::uint64_t request_id = 0;
   std::vector<NodeRecord> node_rows;
   std::vector<AppRecord> app_rows;
   bool aggregated = false;
@@ -216,7 +216,7 @@ struct ServiceStatsRecord {
 /// Client request for the per-service runtime health rows this instance
 /// holds (GridView-style service dashboards; KernelApi::service_stats).
 struct DbServiceStatsQueryMsg final : net::Message {
-  std::uint64_t query_id = 0;
+  std::uint64_t request_id = 0;
   net::Address reply_to;
   std::uint16_t attempt = 1;  // header-resident; excluded from wire_size()
 
@@ -225,7 +225,7 @@ struct DbServiceStatsQueryMsg final : net::Message {
 };
 
 struct DbServiceStatsReplyMsg final : net::Message {
-  std::uint64_t query_id = 0;
+  std::uint64_t request_id = 0;
   std::vector<ServiceStatsRecord> rows;
 
   PHOENIX_MESSAGE_TYPE("db.service_stats_reply")
@@ -302,7 +302,7 @@ class DataBulletin final : public ServiceRuntime {
 
   struct PendingQuery {
     net::Address reply_to;
-    std::uint64_t query_id = 0;  // caller's id
+    std::uint64_t request_id = 0;  // caller's id
     BulletinTable table = BulletinTable::kBoth;
     bool aggregate_only = false;
     std::vector<NodeRecord> node_rows;

@@ -30,29 +30,6 @@ struct FtParams {
     };
     Mode mode = Mode::kUnilateral;
 
-    /// One regroup round: solicitations go out, concurrence votes must be
-    /// back within this window or the round aborts (and is retried).
-    SimTime regroup_round_timeout = 900 * sim::kMillisecond;
-
-    /// A solicited voter independently pings the suspect's GSD and votes
-    /// "alive" if it answers within this window (its view of connectivity,
-    /// not the initiator's — that is what defeats asymmetric partitions).
-    SimTime regroup_probe_timeout = 280 * sim::kMillisecond;
-
-    /// Delay before re-running a regroup that failed to assemble a quorum
-    /// (e.g. this member sits on the minority side of a partition).
-    SimTime regroup_retry_delay = 2 * sim::kSecond;
-
-    /// Consecutive quorum-less rounds before the initiator journals
-    /// meta.quorum_lost and gives up until the suspicion re-triggers.
-    /// 0 = retry forever (availability returns when the partition heals).
-    int max_regroup_rounds = 0;
-
-    /// Stamp meta-group epochs into mutating kernel RPCs and reject stale
-    /// ones (fencing). Only meaningful under kQuorum; epochs stay 0 — and
-    /// every wire format stays byte-identical — under kUnilateral.
-    bool fence_stale_epochs = true;
-
     /// The paper's §5.1 behaviour: unilateral Princess takeover.
     static constexpr FailoverPolicy paper() { return {}; }
 

@@ -26,6 +26,7 @@ GroupServiceDaemon::GroupServiceDaemon(cluster::Cluster& cluster, net::NodeId no
       partition_(partition),
       params_(params),
       log_(log),
+      rpc_(*this),
       supervised_(std::move(default_supervised)),
       partition_checker_(cluster.engine(), params.heartbeat_interval,
                          [this] { check_partition(); }),
@@ -83,9 +84,8 @@ GroupServiceDaemon::GroupServiceDaemon(cluster::Cluster& cluster, net::NodeId no
     if (MembershipRing* r = ring_for(vote.scope)) r->handle_regroup_vote(vote);
   });
   on<ServiceUpMsg>([this](const ServiceUpMsg& up) { handle_service_up(up); });
-  on<StartServiceReplyMsg>([this](const StartServiceReplyMsg& reply) {
-    handle_start_service_reply(reply);
-  });
+  on<StartServiceReplyMsg>(
+      [this](const StartServiceReplyMsg& reply) { rpc_.deliver(reply); });
   // Recovery here is fetch_state_and_join (view merge + ring rejoin), not the
   // runtime's generic restore loop, so this daemon owns the reply type.
   on<CheckpointLoadReplyMsg>([this](const CheckpointLoadReplyMsg& reply) {
@@ -141,7 +141,7 @@ void GroupServiceDaemon::on_service_start() {
   }
   primary_ring_->reset_runtime_state(nets);
   probes_.clear();
-  pending_recoveries_.clear();
+  rpc_.drop_all();
   service_recovering_.clear();
   if (top_ring_ != nullptr) {
     top_ring_->reset_runtime_state(nets);
@@ -352,7 +352,7 @@ void GroupServiceDaemon::ring_recover_member(MembershipRing& ring,
     restart->kind = ServiceKind::kGroupService;
     restart->partition = member.partition;
     restart->create = false;
-    restart->request_id = next_request_id_++;
+    restart->request_id = rpc_.mint_id();
     restart->epoch = ring.view().epoch;
     restart->scope = ring.scope();
     send_any(ppm_at(member.gsd.node), std::move(restart));
@@ -726,18 +726,20 @@ void GroupServiceDaemon::conclude_wd_process_failure(net::NodeId node,
   e.attrs = {{"service", "WD"}};
   publish(std::move(e));
 
-  // Recovery: have the node's PPM restart the watch daemon.
-  const std::uint64_t rid = next_request_id_++;
-  pending_recoveries_[rid] = PendingRecovery{"WD", node};
+  // Recovery: have the node's PPM restart the watch daemon (one attempt).
   auto restart = std::make_shared<StartServiceMsg>();
   restart->kind = ServiceKind::kWatchDaemon;
   restart->partition = partition_;
   restart->create = false;
   restart->reply_to = address();
-  restart->request_id = rid;
   restart->epoch = primary_ring_->view().epoch;
   restart->scope = primary_ring_->scope();
-  send_any(ppm_at(node), std::move(restart));
+  rpc_.call<StartServiceReplyMsg>(
+      std::move(restart), ppm_at(node),
+      [this, node](net::Result<const StartServiceReplyMsg*> reply) {
+        finish_wd_restart(node, reply && reply.value->ok);
+      },
+      {.max_retries = 0}, "restart_wd");
 }
 
 void GroupServiceDaemon::conclude_node_failure(net::NodeId node,
@@ -798,7 +800,7 @@ void GroupServiceDaemon::migrate_partition(const MetaMember& failed,
     start->kind = ServiceKind::kGroupService;
     start->partition = failed.partition;
     start->create = true;
-    start->request_id = next_request_id_++;
+    start->request_id = rpc_.mint_id();
     start->epoch = r->view().epoch;
     start->scope = r->scope();
     send_any(ppm_at(targets.front()), std::move(start));
@@ -916,7 +918,7 @@ void GroupServiceDaemon::check_services() {
           start->extension_port = spec.port;
           start->partition = partition_;
           start->create = create;
-          start->request_id = next_request_id_++;
+          start->request_id = rpc_.mint_id();
           start->epoch = primary_ring_->view().epoch;
           start->scope = primary_ring_->scope();
           send_any(ppm_at(node_id()), std::move(start));
@@ -991,7 +993,7 @@ void GroupServiceDaemon::handle_probe_reply(const ProbeReplyMsg& reply) {
     restart->kind = ServiceKind::kGroupService;
     restart->partition = probe.census_partition;
     restart->create = false;
-    restart->request_id = next_request_id_++;
+    restart->request_id = rpc_.mint_id();
     restart->epoch = ring.view().epoch;
     restart->scope = ring.scope();
     send_any(ppm_at(probe.node), std::move(restart));
@@ -1018,25 +1020,26 @@ void GroupServiceDaemon::handle_probe_reply(const ProbeReplyMsg& reply) {
                           });
 }
 
-void GroupServiceDaemon::handle_start_service_reply(
-    const StartServiceReplyMsg& reply) {
-  auto it = pending_recoveries_.find(reply.request_id);
-  if (it == pending_recoveries_.end()) return;
-  const PendingRecovery rec = it->second;
-  pending_recoveries_.erase(it);
-  if (!reply.ok) return;
-  if (log_ != nullptr && log_->mark_recovered(rec.component, rec.node, now())) {
+void GroupServiceDaemon::finish_wd_restart(net::NodeId node, bool restarted) {
+  if (!alive()) return;
+  auto wit = watches_.find(node.value);
+  if (!restarted) {
+    // No reply, or a refusal: the node may have died under the restart.
+    // Unless the WD's heartbeat already answered for it, diagnose afresh.
+    if (wit != watches_.end() && wit->second.status == NodeStatus::kProcessFailed) {
+      begin_node_diagnosis(node);
+    }
+    return;
+  }
+  if (log_ != nullptr && log_->mark_recovered("WD", node, now())) {
     Event e;
     e.type = std::string(event_types::kServiceRecovered);
-    e.subject_node = rec.node;
-    e.attrs = {{"service", rec.component}};
+    e.subject_node = node;
+    e.attrs = {{"service", "WD"}};
     publish(std::move(e));
   }
-  if (rec.component == "WD") {
-    auto wit = watches_.find(rec.node.value);
-    if (wit != watches_.end() && wit->second.status == NodeStatus::kProcessFailed) {
-      wit->second.status = NodeStatus::kHealthy;
-    }
+  if (wit != watches_.end() && wit->second.status == NodeStatus::kProcessFailed) {
+    wit->second.status = NodeStatus::kHealthy;
   }
 }
 

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "cluster/daemon.h"
+#include "cluster/rpc_client.h"
 #include "kernel/event/event.h"
 #include "kernel/fault_log.h"
 #include "kernel/ft_params.h"
@@ -225,7 +226,8 @@ class GroupServiceDaemon final : public ServiceRuntime,
   // -- partition monitoring --
   void handle_heartbeat(const HeartbeatMsg& hb, net::NetworkId network);
   void handle_probe_reply(const ProbeReplyMsg& reply);
-  void handle_start_service_reply(const StartServiceReplyMsg& reply);
+  /// Completion of a WD restart ordered by conclude_wd_process_failure.
+  void finish_wd_restart(net::NodeId node, bool restarted);
   void handle_state_load_reply(const CheckpointLoadReplyMsg& reply);
   void check_partition();
   void begin_node_diagnosis(net::NodeId node);
@@ -304,13 +306,9 @@ class GroupServiceDaemon final : public ServiceRuntime,
   std::unordered_map<std::uint64_t, Probe> probes_;
   std::uint64_t next_probe_id_ = 1;
 
-  // Recovery actions in flight, keyed by StartService request id.
-  struct PendingRecovery {
-    std::string component;
-    net::NodeId node;
-  };
-  std::unordered_map<std::uint64_t, PendingRecovery> pending_recoveries_;
-  std::uint64_t next_request_id_ = 1;
+  // WD restarts in flight; also mints the ids of the StartService orders
+  // sent without a reply address.
+  cluster::RpcClient rpc_;
 
   // Membership rings. primary_ring_ always exists (scope 0 flat, or the
   // partition's zone sub-ring); top_ring_ exists only under zoned().

@@ -7,6 +7,19 @@
 
 namespace phoenix::kernel {
 
+namespace {
+/// Quorum regroup timing (FailoverPolicy::quorum()). Solicited votes must be
+/// back within one round or the round is evaluated without them.
+constexpr sim::SimTime kRegroupRoundTimeout = 900 * sim::kMillisecond;
+/// A solicited voter pings the suspect's node over its own links and votes
+/// "alive" if it answers within this window — its view of connectivity, not
+/// the initiator's, which is what defeats asymmetric partitions.
+constexpr sim::SimTime kRegroupProbeTimeout = 280 * sim::kMillisecond;
+/// Delay before re-running a round that assembled no quorum (this member
+/// sits on the minority side of a partition); rounds repeat until it heals.
+constexpr sim::SimTime kRegroupRetryDelay = 2 * sim::kSecond;
+}  // namespace
+
 MembershipRing::MembershipRing(Host& host, cluster::Cluster& cluster,
                                const FtParams& params, Config config)
     : host_(host),
@@ -20,10 +33,7 @@ MembershipRing::MembershipRing(Host& host, cluster::Cluster& cluster,
       join_retrier_(cluster.engine(), kJoinRetryPeriod, [this] { try_rejoin(); }) {}
 
 std::uint64_t MembershipRing::epoch_floor() const noexcept {
-  return params_.failover.mode == FtParams::FailoverPolicy::Mode::kQuorum &&
-                 params_.failover.fence_stale_epochs
-             ? 1
-             : 0;
+  return params_.failover.mode == FtParams::FailoverPolicy::Mode::kQuorum ? 1 : 0;
 }
 
 net::Address MembershipRing::ppm_at(net::NodeId node) const {
@@ -340,8 +350,7 @@ void MembershipRing::commit_member_removal(const MetaMember& pred, bool node_dea
   tombstones_[pred.partition.value] =
       std::max(tombstones_[pred.partition.value], pred.incarnation);
   const bool fence =
-      params_.failover.mode == FtParams::FailoverPolicy::Mode::kQuorum &&
-      params_.failover.fence_stale_epochs;
+      params_.failover.mode == FtParams::FailoverPolicy::Mode::kQuorum;
   MetaView next = view_;
   next.remove(pred.partition);
   ++next.view_id;
@@ -427,13 +436,12 @@ void MembershipRing::solicit_regroup_round() {
   }
 
   const std::uint64_t round = r.round_id;
-  cluster_.engine().schedule_after(
-      params_.failover.regroup_round_timeout, [this, round] {
-        if (host_.ring_alive() && regroup_ && regroup_->round_id == round &&
-            !regroup_->done) {
-          evaluate_regroup(/*round_over=*/true);
-        }
-      });
+  cluster_.engine().schedule_after(kRegroupRoundTimeout, [this, round] {
+    if (host_.ring_alive() && regroup_ && regroup_->round_id == round &&
+        !regroup_->done) {
+      evaluate_regroup(/*round_over=*/true);
+    }
+  });
   // A 2-member view settles immediately: quorum needs 2, we alone have 1.
   evaluate_regroup(/*round_over=*/false);
 }
@@ -492,20 +500,11 @@ void MembershipRing::regroup_quorum_lost() {
              {"round", std::to_string(r.rounds_run)}};
   publish_scoped(std::move(e));
 
-  if (params_.failover.max_regroup_rounds > 0 &&
-      r.rounds_run >= params_.failover.max_regroup_rounds) {
-    // Give up until the suspicion re-triggers from a fresh silence period.
-    regroup_.reset();
-    std::fill(pred_last_per_net_.begin(), pred_last_per_net_.end(), now());
-    return;
-  }
-  cluster_.engine().schedule_after(params_.failover.regroup_retry_delay,
-                                   [this, round = r.round_id] {
-                                     if (host_.ring_alive() && regroup_ &&
-                                         regroup_->round_id == round) {
-                                       solicit_regroup_round();
-                                     }
-                                   });
+  cluster_.engine().schedule_after(kRegroupRetryDelay, [this, round = r.round_id] {
+    if (host_.ring_alive() && regroup_ && regroup_->round_id == round) {
+      solicit_regroup_round();
+    }
+  });
 }
 
 void MembershipRing::cancel_regroup(bool exonerated) {
@@ -567,7 +566,7 @@ void MembershipRing::handle_regroup_propose(const RegroupProposeMsg& proposal) {
   probe->probe_id = id;
   host_.ring_send_all_networks(ppm_at(suspect.gsd.node), std::move(probe));
   cluster_.engine().schedule_after(
-      params_.failover.regroup_probe_timeout, [this, id] {
+      kRegroupProbeTimeout, [this, id] {
         auto it = vote_probes_.find(id);
         if (it == vote_probes_.end()) return;  // reply beat the timeout
         const PendingVote pending = it->second;

@@ -46,14 +46,14 @@ struct MetaViewDiff {
 
 struct MetaView {
   std::uint64_t view_id = 0;
-  /// Fencing epoch, bumped once per quorum takeover (FailoverPolicy::quorum()
-  /// with fence_stale_epochs). Stays 0 forever under the paper's unilateral
-  /// policy, and a zero epoch is omitted from the serialized form, so legacy
-  /// views are byte-identical. Under quorum fencing the GSD bootstraps views
-  /// at epoch 1, so a member deposed by the FIRST takeover (epoch 2) is
-  /// already stamping rejectable traffic — epoch 0 would be admitted
-  /// unconditionally as legacy. A view with a higher epoch beats any
-  /// view_id; a stale-epoch view is discarded unseen.
+  /// Fencing epoch, bumped once per quorum takeover (FailoverPolicy::quorum()).
+  /// Stays 0 forever under the paper's unilateral policy, and a zero epoch is
+  /// omitted from the serialized form, so legacy views are byte-identical.
+  /// Under quorum fencing the GSD bootstraps views at epoch 1, so a member
+  /// deposed by the FIRST takeover (epoch 2) is already stamping rejectable
+  /// traffic — epoch 0 would be admitted unconditionally as legacy. A view
+  /// with a higher epoch beats any view_id; a stale-epoch view is discarded
+  /// unseen.
   std::uint64_t epoch = 0;
   std::vector<MetaMember> members;  // join order; [0]=Leader, [1]=Princess
 

@@ -11,7 +11,8 @@ PbsServer::PbsServer(cluster::Cluster& cluster, net::NodeId node,
     : Daemon(cluster, "pbs.server", node, cluster::ports::kPbsServer),
       compute_nodes_(std::move(compute_nodes)),
       poll_interval_(poll_interval),
-      poller_(cluster.engine(), poll_interval, [this] { poll_all(); }) {}
+      poller_(cluster.engine(), poll_interval, [this] { poll_all(); }),
+      rpc_(*this) {}
 
 void PbsServer::on_start() {
   poller_.set_period(poll_interval_);
@@ -71,9 +72,18 @@ void PbsServer::launch(Job& job) {
     spawn->cpu_share = static_cast<double>(cluster().node(n).cpus());
     spawn->duration = job.duration;
     spawn->reply_to = address();
-    spawn->request_id = next_request_id_++;
-    pending_spawns_[spawn->request_id] = {job.id, n};
-    send_any({n, cluster::ports::kPbsMom}, std::move(spawn));
+    rpc_.call<MomSpawnReplyMsg>(
+        std::move(spawn), {n, cluster::ports::kPbsMom},
+        [this, id = job.id, n](net::Result<const MomSpawnReplyMsg*> spawned) {
+          if (!spawned || !spawned.value->ok) return;
+          auto job_it = jobs_.find(id);
+          if (job_it == jobs_.end()) return;
+          const cluster::Pid pid = spawned.value->pid;
+          job_it->second.pids[n.value] = pid;
+          pid_to_job_[pid] = id;
+          pid_expected_exit_[pid] = now() + job_it->second.duration;
+        },
+        {.max_retries = 0}, "spawn");
   }
 }
 
@@ -82,7 +92,7 @@ void PbsServer::poll_all() {
   for (net::NodeId n : compute_nodes_) {
     auto poll = std::make_shared<PollMsg>();
     poll->reply_to = address();
-    poll->poll_id = next_request_id_++;
+    poll->poll_id = rpc_.mint_id();
     send_any({n, cluster::ports::kPbsMom}, std::move(poll));
     ++stats_.polls_sent;
   }
@@ -90,19 +100,7 @@ void PbsServer::poll_all() {
 
 void PbsServer::handle(const net::Envelope& env) {
   const net::Message& m = *env.message;
-
-  if (const auto* reply = net::message_cast<MomSpawnReplyMsg>(m)) {
-    auto it = pending_spawns_.find(reply->request_id);
-    if (it == pending_spawns_.end() || !reply->ok) return;
-    const auto [job_id, node] = it->second;
-    pending_spawns_.erase(it);
-    auto job_it = jobs_.find(job_id);
-    if (job_it == jobs_.end()) return;
-    job_it->second.pids[node.value] = reply->pid;
-    pid_to_job_[reply->pid] = job_id;
-    pid_expected_exit_[reply->pid] = now() + job_it->second.duration;
-    return;
-  }
+  if (rpc_.deliver(m)) return;
 
   if (const auto* poll = net::message_cast<PollReplyMsg>(m)) {
     // Completion is only discovered here — the polling lag the paper

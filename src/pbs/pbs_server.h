@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cluster/daemon.h"
+#include "cluster/rpc_client.h"
 #include "pbs/mom.h"
 #include "pws/job.h"  // reuse the Job/JobState model for comparable stats
 
@@ -67,9 +68,8 @@ class PbsServer final : public cluster::Daemon {
   std::map<std::uint32_t, JobId> node_running_;        // node -> job
   std::map<cluster::Pid, JobId> pid_to_job_;
   std::map<cluster::Pid, sim::SimTime> pid_expected_exit_;
-  std::map<std::uint64_t, std::pair<JobId, net::NodeId>> pending_spawns_;
+  cluster::RpcClient rpc_;  // spawns; also mints the poll ids
   JobId next_job_id_ = 1;
-  std::uint64_t next_request_id_ = 1;
   PbsStats stats_;
   double completion_lag_sum_s_ = 0.0;
   std::uint64_t completion_lag_count_ = 0;

@@ -7,21 +7,32 @@
 
 namespace phoenix::pws {
 
+namespace {
+/// A batch goes out at t, t+2, t+4, t+6 and t+8 s and fails at the client's
+/// default 10 s deadline.
+constexpr net::RetryPolicy kBatchRetry{.initial_rto = 2 * sim::kSecond,
+                                       .multiplier = 1.0,
+                                       .max_rto = 2 * sim::kSecond,
+                                       .jitter_frac = 0.0,
+                                       .default_max_retries = 4};
+}  // namespace
+
 SubmissionGateway::SubmissionGateway(cluster::Cluster& cluster, net::NodeId node,
                                      GatewayConfig config)
     : Daemon(cluster, "pws.gateway", node, cluster::ports::kPwsGateway),
       config_(std::move(config)),
+      rpc_(*this, kBatchRetry),
       ticker_(cluster.engine(), config_.flush_interval, [this] { flush(); }) {
   metrics_ = &cluster.metrics();
   submit_latency_us_ = metrics_->histogram("pws.gateway.submit_latency_us");
   batch_size_hist_ = metrics_->histogram("pws.gateway.batch_size");
   batches_ctr_ = metrics_->counter("pws.gateway.batches");
   absorbed_ctr_ = metrics_->counter("pws.gateway.absorbed_cancels");
-  retries_ctr_ = metrics_->counter("pws.gateway.retries");
   probe_id_ = metrics_->register_probe([this](obs::Registry& r) {
     if (!alive()) return;
     r.gauge("pws.gateway.backlog")->set(static_cast<double>(backlog_));
     r.gauge("pws.gateway.inflight")->set(static_cast<double>(inflight()));
+    r.gauge("pws.gateway.retries")->set(static_cast<double>(rpc_.retries_sent()));
   });
   start();
 }
@@ -144,7 +155,6 @@ std::vector<SubmissionGateway::PendingItem> SubmissionGateway::assemble_batch() 
 void SubmissionGateway::send_batch(std::vector<PendingItem> items) {
   auto batch = std::make_shared<PwsSubmitBatchMsg>();
   batch->reply_to = address();
-  batch->request_id = next_request_id_++;
   batch->requests.reserve(items.size());
   for (const PendingItem& item : items) {
     ticket_tenant_.erase(item.ticket);  // shipped: no longer locally cancellable
@@ -155,22 +165,33 @@ void SubmissionGateway::send_batch(std::vector<PendingItem> items) {
     batches_ctr_->inc();
     batch_size_hist_->record(items.size());
   }
-  inflight_.emplace(batch->request_id,
-                    InflightBatch{batch, std::move(items), 1});
-  send_any(config_.scheduler, batch);
-  arm_retry(batch->request_id, /*is_cancel=*/false);
+  rpc_.call<PwsSubmitBatchReplyMsg>(
+      std::move(batch), config_.scheduler,
+      [this, items = std::move(items)](
+          net::Result<const PwsSubmitBatchReplyMsg*> reply) {
+        // No verdict within the deadline surfaces kUnavailable. The
+        // scheduler may have executed the batch (reply lost) — the caller
+        // can query.
+        if (reply) ++stats_.replies;
+        for (std::size_t i = 0; i < items.size(); ++i) {
+          finish_item(items[i], reply && i < reply.value->results.size()
+                                    ? reply.value->results[i]
+                                    : BatchSubmitResult{0, SubmitStatus::kUnavailable});
+        }
+      },
+      {}, "submit_batch");
 }
 
 void SubmissionGateway::send_cancel_batch() {
   auto batch = std::make_shared<PwsCancelBatchMsg>();
   batch->reply_to = address();
-  batch->request_id = next_request_id_++;
   batch->job_ids = std::move(pending_cancels_);
   pending_cancels_.clear();
   stats_.cancels_sent += batch->job_ids.size();
-  inflight_cancels_.emplace(batch->request_id, InflightCancel{batch, 1});
-  send_any(config_.scheduler, batch);
-  arm_retry(batch->request_id, /*is_cancel=*/true);
+  // A cancel is advisory: one that never gets a reply is given up silently.
+  rpc_.call<PwsCancelBatchReplyMsg>(
+      std::move(batch), config_.scheduler,
+      [](net::Result<const PwsCancelBatchReplyMsg*>) {}, {}, "cancel_batch");
 }
 
 void SubmissionGateway::flush() {
@@ -183,63 +204,8 @@ void SubmissionGateway::flush() {
   if (!pending_cancels_.empty()) send_cancel_batch();
 }
 
-void SubmissionGateway::arm_retry(std::uint64_t request_id, bool is_cancel) {
-  engine().schedule_after(config_.retry_timeout, [this, request_id, is_cancel] {
-    if (!alive()) return;
-    if (is_cancel) {
-      auto it = inflight_cancels_.find(request_id);
-      if (it == inflight_cancels_.end()) return;  // reply arrived
-      if (it->second.attempts > config_.max_retries) {
-        inflight_cancels_.erase(it);  // give up silently; cancel is advisory
-        return;
-      }
-      ++it->second.attempts;
-      ++stats_.retries;
-      if (metrics_->enabled()) retries_ctr_->inc();
-      send_any(config_.scheduler, it->second.message);
-      arm_retry(request_id, true);
-      return;
-    }
-    auto it = inflight_.find(request_id);
-    if (it == inflight_.end()) return;  // reply arrived
-    if (it->second.attempts > config_.max_retries) {
-      // Budget spent with no verdict: surface kUnavailable. The scheduler
-      // may have executed the batch (reply lost) — the caller can query.
-      InflightBatch failed = std::move(it->second);
-      inflight_.erase(it);
-      for (const PendingItem& item : failed.items) {
-        finish_item(item, BatchSubmitResult{0, SubmitStatus::kUnavailable});
-      }
-      return;
-    }
-    ++it->second.attempts;
-    ++stats_.retries;
-    if (metrics_->enabled()) retries_ctr_->inc();
-    send_any(config_.scheduler, it->second.message);
-    arm_retry(request_id, false);
-  });
-}
-
 void SubmissionGateway::handle(const net::Envelope& env) {
-  const net::Message& m = *env.message;
-  if (const auto* reply = net::message_cast<PwsSubmitBatchReplyMsg>(m)) {
-    auto it = inflight_.find(reply->request_id);
-    if (it == inflight_.end()) return;  // duplicate reply of a served retry
-    InflightBatch done = std::move(it->second);
-    inflight_.erase(it);
-    ++stats_.replies;
-    for (std::size_t i = 0; i < done.items.size(); ++i) {
-      const BatchSubmitResult result = i < reply->results.size()
-                                           ? reply->results[i]
-                                           : BatchSubmitResult{0, SubmitStatus::kUnavailable};
-      finish_item(done.items[i], result);
-    }
-    return;
-  }
-  if (const auto* reply = net::message_cast<PwsCancelBatchReplyMsg>(m)) {
-    inflight_cancels_.erase(reply->request_id);
-    return;
-  }
+  rpc_.deliver(*env.message);
 }
 
 }  // namespace phoenix::pws

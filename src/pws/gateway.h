@@ -12,9 +12,10 @@
 //     tenant drains in proportion to its weight;
 //   - a cancel that arrives while its submission is still queued locally is
 //     absorbed in the gateway (the scheduler never sees either message);
-//   - each batch is retried on a timer until its reply arrives; the
-//     scheduler's ReplayCache makes the retransmit idempotent, so a lost
-//     reply costs a retry, not duplicate jobs.
+//   - each batch is a call of the daemon's cluster::RpcClient, resent every
+//     2 s until its reply arrives (at most five sends, kUnavailable at
+//     10 s); the scheduler's ReplayCache makes the retransmit idempotent,
+//     so a lost reply costs a retry, not duplicate jobs.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "cluster/daemon.h"
+#include "cluster/rpc_client.h"
 #include "obs/metrics.h"
 #include "pws/scheduler.h"
 
@@ -39,10 +41,6 @@ struct GatewayConfig {
   sim::SimTime flush_interval = 10 * sim::kMillisecond;
   /// Jobs per batch message; a window with more backlog sends several.
   std::size_t max_batch = 256;
-  /// Retransmit a batch whose reply has not arrived after this long.
-  sim::SimTime retry_timeout = 2 * sim::kSecond;
-  /// Retransmissions allowed per batch before giving up (kUnavailable).
-  int max_retries = 4;
   /// Fair-queuing weight for tenants not listed in tenant_weights.
   double default_weight = 1.0;
   /// Per-tenant fair-queuing weights (user name -> weight).
@@ -89,13 +87,15 @@ class SubmissionGateway final : public cluster::Daemon {
   /// Sends every assembled batch now instead of waiting for the window.
   void flush();
 
-  const GatewayStats& stats() const noexcept { return stats_; }
+  GatewayStats stats() const noexcept {
+    GatewayStats s = stats_;
+    s.retries = rpc_.retries_sent();
+    return s;
+  }
   /// Submissions queued locally, not yet shipped.
   std::size_t backlog() const noexcept { return backlog_; }
   /// Batches on the wire awaiting a reply.
-  std::size_t inflight() const noexcept {
-    return inflight_.size() + inflight_cancels_.size();
-  }
+  std::size_t inflight() const noexcept { return rpc_.pending_calls(); }
 
  private:
   struct PendingItem {
@@ -110,16 +110,6 @@ class SubmissionGateway final : public cluster::Daemon {
     double deficit = 0.0;
     bool active = false;  // already listed in active_
   };
-  struct InflightBatch {
-    std::shared_ptr<PwsSubmitBatchMsg> message;
-    std::vector<PendingItem> items;  // request order == results order
-    int attempts = 1;
-  };
-  struct InflightCancel {
-    std::shared_ptr<PwsCancelBatchMsg> message;
-    int attempts = 1;
-  };
-
   void handle(const net::Envelope& env) override;
   void on_start() override;
   void on_stop() override;
@@ -128,7 +118,6 @@ class SubmissionGateway final : public cluster::Daemon {
   std::vector<PendingItem> assemble_batch();
   void send_batch(std::vector<PendingItem> items);
   void send_cancel_batch();
-  void arm_retry(std::uint64_t request_id, bool is_cancel);
   void finish_item(const PendingItem& item, const BatchSubmitResult& result);
 
   GatewayConfig config_;
@@ -136,19 +125,16 @@ class SubmissionGateway final : public cluster::Daemon {
   std::vector<std::uint32_t> active_;  // activation order: deterministic DRR
   std::unordered_map<Ticket, std::uint32_t> ticket_tenant_;
   std::vector<JobId> pending_cancels_;
-  std::unordered_map<std::uint64_t, InflightBatch> inflight_;
-  std::unordered_map<std::uint64_t, InflightCancel> inflight_cancels_;
   std::size_t backlog_ = 0;
   Ticket next_ticket_ = 1;
-  std::uint64_t next_request_id_ = 1;
-  GatewayStats stats_;
+  GatewayStats stats_;  // all but retries, which the client counts
+  cluster::RpcClient rpc_;
 
   obs::Registry* metrics_ = nullptr;
   obs::Histogram* submit_latency_us_ = nullptr;
   obs::Histogram* batch_size_hist_ = nullptr;
   obs::Counter* batches_ctr_ = nullptr;
   obs::Counter* absorbed_ctr_ = nullptr;
-  obs::Counter* retries_ctr_ = nullptr;
   std::uint64_t probe_id_ = 0;
 
   sim::PeriodicTask ticker_;

@@ -34,7 +34,7 @@ void Portal::refresh() {
 
   auto nodes_query = std::make_shared<kernel::DbQueryMsg>();
   pending_nodes_query_ = next_request_id_++;
-  nodes_query->query_id = pending_nodes_query_;
+  nodes_query->request_id = pending_nodes_query_;
   nodes_query->table = kernel::BulletinTable::kNodes;
   nodes_query->cluster_scope = true;
   nodes_query->reply_to = address();
@@ -54,7 +54,7 @@ void Portal::handle(const net::Envelope& env) {
     return;
   }
   if (const auto* reply = net::message_cast<kernel::DbQueryReplyMsg>(m)) {
-    if (reply->query_id != pending_nodes_query_) return;
+    if (reply->request_id != pending_nodes_query_) return;
     nodes_ = reply->node_rows;
     return;
   }

@@ -11,6 +11,21 @@ using kernel::ServiceKind;
 
 namespace {
 constexpr std::size_t kNoPool = static_cast<std::size_t>(-1);
+/// Attempts of the restart's checkpoint load and bulletin reconcile, each
+/// waiting as long as one of the runtime's recovery loads.
+constexpr int kRestartAttempts = 5;
+
+/// Spawns and authorizations are sent once; the restart's load and
+/// reconcile up to kRestartAttempts times, with the runtime recovery loop's
+/// fixed wait (2 s plus a federation fetch) before each retransmission.
+net::RetryPolicy restart_policy(const kernel::FtParams& params) {
+  const sim::SimTime wait = 2 * sim::kSecond + params.checkpoint_federation_fetch;
+  return {.initial_rto = wait,
+          .multiplier = 1.0,
+          .max_rto = wait,
+          .jitter_frac = 0.0,
+          .default_max_retries = kRestartAttempts - 1};
+}
 }  // namespace
 
 PwsScheduler::PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
@@ -24,8 +39,10 @@ PwsScheduler::PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
                              .checkpoint_key = "jobs",
                              .extension = "pws.scheduler"}),
       config_(std::move(config)),
+      rpc_(*this, restart_policy(kernel.params())),
       ticker_(cluster.engine(), config_.schedule_tick, [this] { schedule_pass(); }) {
-  // A gateway retry arrives GatewayConfig::retry_timeout (2 s) after its
+  rpc_.set_default_deadline(kRestartAttempts * rpc_.policy().initial_rto);
+  // A gateway retry arrives 2 s (SubmissionGateway's resend interval) after its
   // batch, behind hundreds of newer batches when the gateway is backlogged:
   // keep 4x the runtime's default entries so the retry still replays.
   replay_cache() = net::ReplayCache{1024};
@@ -106,18 +123,9 @@ PwsScheduler::PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
     send_any(cancel_msg.reply_to, std::move(reply));
   });
   on<kernel::AuthzReplyMsg>(
-      [this](const kernel::AuthzReplyMsg& authz) { handle_authz_reply(authz); });
-  on<kernel::SpawnReplyMsg>([this](const kernel::SpawnReplyMsg& spawn) {
-    auto it = pending_spawns_.find(spawn.request_id);
-    if (it == pending_spawns_.end()) return;
-    const PendingSpawn pending = it->second;
-    pending_spawns_.erase(it);
-    auto job_it = jobs_.find(pending.job);
-    if (job_it == jobs_.end() || !spawn.ok) return;
-    job_it->second.pids[pending.node.value] = spawn.pid;
-    pid_to_job_[spawn.pid] = pending.job;
-    checkpoint_state();
-  });
+      [this](const kernel::AuthzReplyMsg& authz) { rpc_.deliver(authz); });
+  on<kernel::SpawnReplyMsg>(
+      [this](const kernel::SpawnReplyMsg& spawn) { rpc_.deliver(spawn); });
   on<kernel::ExitNotifyMsg>([this](const kernel::ExitNotifyMsg& exit) {
     complete_process(exit.pid, exit.node);
   });
@@ -130,20 +138,9 @@ PwsScheduler::PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
     }
   });
   on<kernel::CheckpointLoadReplyMsg>(
-      [this](const kernel::CheckpointLoadReplyMsg& load) {
-        if (load.request_id != recovery_load_id_ || recovery_load_id_ == 0) return;
-        recovery_load_id_ = 0;
-        if (!load.found) {
-          announce_up();
-          return;
-        }
-        jobs_ = deserialize_jobs(load.data.str());
-        rebuild_after_restore();
-        reconcile_with_bulletin();
-      });
-  on<kernel::DbQueryReplyMsg>([this](const kernel::DbQueryReplyMsg& reply) {
-    handle_reconcile_reply(reply);
-  });
+      [this](const kernel::CheckpointLoadReplyMsg& load) { rpc_.deliver(load); });
+  on<kernel::DbQueryReplyMsg>(
+      [this](const kernel::DbQueryReplyMsg& reply) { rpc_.deliver(reply); });
 }
 
 PwsScheduler::~PwsScheduler() {
@@ -151,6 +148,7 @@ PwsScheduler::~PwsScheduler() {
 }
 
 void PwsScheduler::on_service_start() {
+  rpc_.drop_all();  // whatever the dead process waited on died with it
   ticker_.set_period(config_.schedule_tick);
   ticker_.start_after(config_.schedule_tick);
   subscribe_events();
@@ -569,9 +567,17 @@ void PwsScheduler::launch(Job& job) {
     spawn->spec.duration = job.duration;
     spawn->reply_to = address();
     spawn->exit_notify = address();
-    spawn->request_id = next_request_id_++;
-    pending_spawns_[spawn->request_id] = PendingSpawn{job.id, n};
-    send_any({n, kernel::port_of(ServiceKind::kProcessManager)}, std::move(spawn));
+    rpc_.call<kernel::SpawnReplyMsg>(
+        std::move(spawn), {n, kernel::port_of(ServiceKind::kProcessManager)},
+        [this, id = job.id, n](net::Result<const kernel::SpawnReplyMsg*> spawned) {
+          if (!spawned || !spawned.value->ok) return;
+          auto job_it = jobs_.find(id);
+          if (job_it == jobs_.end()) return;
+          job_it->second.pids[n.value] = spawned.value->pid;
+          pid_to_job_[spawned.value->pid] = id;
+          checkpoint_state();
+        },
+        {.max_retries = 0}, "spawn");
   }
 }
 
@@ -769,13 +775,24 @@ void PwsScheduler::checkpoint_state() {
 void PwsScheduler::recover_state() {
   // Not the runtime's recover-on-start loop: that one draws its load ids
   // from the engine's shared RNG, which would shift every later draw.
-  recovery_load_id_ = next_request_id_++;
   auto load = std::make_shared<kernel::CheckpointLoadMsg>();
   load->service = options().checkpoint_namespace;
   load->key = options().checkpoint_key;
   load->reply_to = address();
-  load->request_id = recovery_load_id_;
-  send_any(partition_service(ServiceKind::kCheckpointService), std::move(load));
+  rpc_.call<kernel::CheckpointLoadReplyMsg>(
+      std::move(load), partition_service(ServiceKind::kCheckpointService),
+      [this](net::Result<const kernel::CheckpointLoadReplyMsg*> loaded) {
+        if (!alive()) return;
+        // Nothing saved, or every attempt lost: come up without it.
+        if (!loaded || !loaded.value->found) {
+          announce_up();
+          return;
+        }
+        jobs_ = deserialize_jobs(loaded.value->data.str());
+        rebuild_after_restore();
+        reconcile_with_bulletin();
+      },
+      {}, "restore");
 }
 
 void PwsScheduler::rebuild_after_restore() {
@@ -838,14 +855,20 @@ void PwsScheduler::rebuild_after_restore() {
 
 void PwsScheduler::reconcile_with_bulletin() {
   // Running jobs may have finished while we were down; ask the bulletin
-  // federation which application processes still exist.
-  reconcile_query_id_ = next_request_id_++;
+  // federation which application processes still exist. Without an
+  // answer the scheduler comes up unreconciled.
   auto query = std::make_shared<kernel::DbQueryMsg>();
-  query->query_id = reconcile_query_id_;
   query->table = kernel::BulletinTable::kApps;
   query->cluster_scope = true;
   query->reply_to = address();
-  send_any(partition_service(ServiceKind::kDataBulletin), std::move(query));
+  rpc_.call<kernel::DbQueryReplyMsg>(
+      std::move(query), partition_service(ServiceKind::kDataBulletin),
+      [this](net::Result<const kernel::DbQueryReplyMsg*> reply) {
+        if (!alive()) return;
+        if (reply) handle_reconcile_reply(*reply.value);
+        announce_up();
+      },
+      {}, "reconcile");
 }
 
 // --- message handling ------------------------------------------------------------
@@ -872,11 +895,14 @@ void PwsScheduler::handle_submit(const PwsSubmitMsg& submit) {
     authz->action = "job.submit";
     authz->resource = "pool/" + submit.request.pool;
     authz->reply_to = address();
-    authz->request_id = next_request_id_++;
-    pending_authz_[authz->request_id] =
-        PendingAuthz{id, submit.reply_to, submit.request_id};
-    send_any(directory()->service_address(ServiceKind::kSecurity, net::PartitionId{0}),
-             std::move(authz));
+    rpc_.call<kernel::AuthzReplyMsg>(
+        std::move(authz),
+        directory()->service_address(ServiceKind::kSecurity, net::PartitionId{0}),
+        [this, id, reply_to = submit.reply_to, caller = submit.request_id](
+            net::Result<const kernel::AuthzReplyMsg*> authz_reply) {
+          finish_authz(id, reply_to, caller, authz_reply);
+        },
+        {.max_retries = 0}, "authorize");
     return;
   }
   const BatchSubmitResult result = submit_internal(submit.request, true);
@@ -892,19 +918,20 @@ void PwsScheduler::handle_submit(const PwsSubmitMsg& submit) {
   }
 }
 
-void PwsScheduler::handle_authz_reply(const kernel::AuthzReplyMsg& authz) {
-  auto it = pending_authz_.find(authz.request_id);
-  if (it == pending_authz_.end()) return;
-  const PendingAuthz pending = it->second;
-  pending_authz_.erase(it);
-  auto job_it = jobs_.find(pending.job);
+void PwsScheduler::finish_authz(JobId id, net::Address reply_to,
+                                std::uint64_t caller_request_id,
+                                net::Result<const kernel::AuthzReplyMsg*> authz) {
+  if (!alive()) return;
+  auto job_it = jobs_.find(id);
   if (job_it == jobs_.end()) return;
   Job& job = job_it->second;
   const JobId job_id = job.id;
   bool accepted = false;
-  std::string reason = authz.reason;
+  // An unanswered authorization is a refusal, not a job that waits forever.
+  std::string reason =
+      authz ? authz.value->reason : std::string(net::to_string(authz.status));
   const std::size_t pool_index = pool_index_of(job.pool_sym);
-  if (!authz.allowed) {
+  if (!authz || !authz.value->allowed) {
     job.state = JobState::kRejected;
     job.finished_at = now();
     ++stats_.rejected;
@@ -925,13 +952,13 @@ void PwsScheduler::handle_authz_reply(const kernel::AuthzReplyMsg& authz) {
     accepted = true;
   }
   checkpoint_state();
-  if (pending.reply_to.valid()) {
+  if (reply_to.valid()) {
     auto reply = std::make_shared<PwsSubmitReplyMsg>();
-    reply->request_id = pending.caller_request_id;
+    reply->request_id = caller_request_id;
     reply->accepted = accepted;
     reply->job_id = job_id;
     reply->reason = std::move(reason);
-    send_any(pending.reply_to, std::move(reply));
+    send_any(reply_to, std::move(reply));
   }
 }
 
@@ -948,8 +975,6 @@ void PwsScheduler::handle_node_recovered(net::NodeId node) {
 }
 
 void PwsScheduler::handle_reconcile_reply(const kernel::DbQueryReplyMsg& reply) {
-  if (reply.query_id != reconcile_query_id_ || reconcile_query_id_ == 0) return;
-  reconcile_query_id_ = 0;
   // Any tracked pid that the bulletin no longer lists finished while we
   // were down.
   std::vector<std::pair<cluster::Pid, net::NodeId>> gone;
@@ -971,7 +996,6 @@ void PwsScheduler::handle_reconcile_reply(const kernel::DbQueryReplyMsg& reply) 
     }
   }
   for (const auto& [pid, node] : gone) complete_process(pid, node);
-  announce_up();
 }
 
 // --- introspection ----------------------------------------------------------------

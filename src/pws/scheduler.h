@@ -33,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cluster/rpc_client.h"
 #include "kernel/kernel.h"
 #include "kernel/runtime/service_runtime.h"
 #include "kernel/security/security_service.h"
@@ -263,7 +264,11 @@ class PwsScheduler final : public kernel::ServiceRuntime {
 
   // request handlers
   void handle_submit(const PwsSubmitMsg& submit);
-  void handle_authz_reply(const kernel::AuthzReplyMsg& authz);
+  /// Completes an authorizing job: allowed jobs queue, refused or
+  /// unanswered ones are rejected; the submitter gets the verdict.
+  void finish_authz(JobId id, net::Address reply_to,
+                    std::uint64_t caller_request_id,
+                    net::Result<const kernel::AuthzReplyMsg*> authz);
   void handle_node_recovered(net::NodeId node);
   void handle_reconcile_reply(const kernel::DbQueryReplyMsg& reply);
 
@@ -327,7 +332,6 @@ class PwsScheduler final : public kernel::ServiceRuntime {
   std::unordered_map<std::uint32_t, double> usage_;  // user SymbolId ->
   PwsStats stats_;
   JobId next_job_id_ = 1;
-  std::uint64_t next_request_id_ = 1;
   std::size_t queued_jobs_ = 0;
   std::size_t running_jobs_ = 0;
 
@@ -362,24 +366,13 @@ class PwsScheduler final : public kernel::ServiceRuntime {
   obs::Counter* cancelled_ctr_ = nullptr;
   std::uint64_t probe_id_ = 0;
 
-  // In-flight request correlation.
-  struct PendingAuthz {
-    JobId job;
-    net::Address reply_to;
-    std::uint64_t caller_request_id = 0;
-  };
-  std::map<std::uint64_t, PendingAuthz> pending_authz_;
-  struct PendingSpawn {
-    JobId job;
-    net::NodeId node;
-  };
-  std::map<std::uint64_t, PendingSpawn> pending_spawns_;
   std::map<cluster::Pid, JobId> pid_to_job_;
 
+  /// Spawns, authorizations, and the restart's checkpoint load and
+  /// bulletin reconcile.
+  cluster::RpcClient rpc_;
   sim::PeriodicTask ticker_;
   bool started_before_ = false;
-  std::uint64_t recovery_load_id_ = 0;
-  std::uint64_t reconcile_query_id_ = 0;
 };
 
 }  // namespace phoenix::pws

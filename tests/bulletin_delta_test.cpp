@@ -224,7 +224,7 @@ TEST(BulletinDeltaTest, ClusterQueryWithDeadPeerAnswersWithinTimeout) {
 
   TestClient client(h.cluster, net::NodeId{2});
   auto q = std::make_shared<DbQueryMsg>();
-  q->query_id = 9;
+  q->request_id = 9;
   q->cluster_scope = true;
   q->reply_to = client.address();
   client.send_any(db.address(), q);

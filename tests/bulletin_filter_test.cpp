@@ -22,7 +22,7 @@ class BulletinFilterTest : public ::testing::Test {
   const DbQueryReplyMsg* query(TestClient& client, BulletinFilter filter,
                                BulletinTable table = BulletinTable::kBoth) {
     auto q = std::make_shared<DbQueryMsg>();
-    q->query_id = 77;
+    q->request_id = 77;
     q->table = table;
     q->cluster_scope = true;
     q->filter = std::move(filter);

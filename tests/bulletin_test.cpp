@@ -31,7 +31,7 @@ class BulletinTest : public ::testing::Test {
                                BulletinTable table = BulletinTable::kBoth,
                                std::uint32_t partition = 0) {
     auto q = std::make_shared<DbQueryMsg>();
-    q->query_id = 1234;
+    q->request_id = 1234;
     q->table = table;
     q->cluster_scope = cluster_scope;
     q->reply_to = client.address();

@@ -107,7 +107,7 @@ TEST_F(AggregateQueryTest, AggregateMatchesRowBasedSummary) {
   TestClient client(h.cluster, h.cluster.compute_nodes(net::PartitionId{0})[0]);
 
   auto rows_query = std::make_shared<kernel::DbQueryMsg>();
-  rows_query->query_id = 1;
+  rows_query->request_id = 1;
   rows_query->cluster_scope = true;
   rows_query->reply_to = client.address();
   client.send_any(h.kernel.bulletin(net::PartitionId{0}).address(), rows_query);
@@ -117,7 +117,7 @@ TEST_F(AggregateQueryTest, AggregateMatchesRowBasedSummary) {
   const auto expected = kernel::summarize(rows->node_rows, rows->app_rows);
 
   auto agg_query = std::make_shared<kernel::DbQueryMsg>();
-  agg_query->query_id = 2;
+  agg_query->request_id = 2;
   agg_query->cluster_scope = true;
   agg_query->aggregate_only = true;
   agg_query->reply_to = client.address();
@@ -138,7 +138,7 @@ TEST_F(AggregateQueryTest, AggregateRepliesAreConstantSize) {
   TestClient client(h.cluster, h.cluster.compute_nodes(net::PartitionId{0})[0]);
   h.cluster.fabric().reset_stats();
   auto agg = std::make_shared<kernel::DbQueryMsg>();
-  agg->query_id = 3;
+  agg->request_id = 3;
   agg->cluster_scope = true;
   agg->aggregate_only = true;
   agg->reply_to = client.address();
@@ -149,7 +149,7 @@ TEST_F(AggregateQueryTest, AggregateRepliesAreConstantSize) {
 
   h.cluster.fabric().reset_stats();
   auto rows = std::make_shared<kernel::DbQueryMsg>();
-  rows->query_id = 4;
+  rows->request_id = 4;
   rows->cluster_scope = true;
   rows->reply_to = client.address();
   client.send_any(h.kernel.bulletin(net::PartitionId{0}).address(), rows);

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "kernel/ppm/process_manager.h"
 #include "kernel_fixture.h"
 
 namespace phoenix::kernel {
@@ -96,6 +97,49 @@ TEST_F(GroupServiceTest, WdProcessFailureDiagnosedAndRestarted) {
   // Diagnosis: probe RTT + confirmation round, well under a second.
   EXPECT_LT(record->diagnosed_at - record->detected_at, sim::kSecond);
   // The WD is actually running again and beating.
+  EXPECT_TRUE(h.kernel.watch_daemon(victim).alive());
+  EXPECT_EQ(h.kernel.gsd(net::PartitionId{0}).node_status(victim),
+            GroupServiceDaemon::NodeStatus::kHealthy);
+}
+
+// The node dies right after the GSD orders its WD restart: the order is
+// lost with it, and the unanswered restart must send the node back through
+// diagnosis instead of leaving it "process failed" forever.
+TEST_F(GroupServiceTest, WdRestartLostToNodeCrashIsDiagnosed) {
+  const net::NodeId victim = h.cluster.compute_nodes(net::PartitionId{0})[1];
+  const auto& gsd = h.kernel.gsd(net::PartitionId{0});
+  h.injector.kill_daemon(h.kernel.watch_daemon(victim));
+  const sim::SimTime give_up = h.cluster.now() + 30 * sim::kSecond;
+  while (gsd.node_status(victim) != GroupServiceDaemon::NodeStatus::kProcessFailed) {
+    ASSERT_LT(h.cluster.now(), give_up);
+    ASSERT_TRUE(h.cluster.engine().step());
+  }
+  const sim::SimTime crashed = h.injector.crash_node(victim);
+  h.run_s(10.0);
+
+  const auto record = h.kernel.fault_log().last("WD", FaultKind::kNodeFailure);
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->node, victim);
+  EXPECT_LE(record->diagnosed_at - crashed, 10 * sim::kSecond);
+  EXPECT_EQ(gsd.node_status(victim), GroupServiceDaemon::NodeStatus::kNodeFailed);
+}
+
+// Only the PPM's restart reply is lost: the restarted WD's heartbeat
+// closes the record, and the unanswered call leaves the node healthy.
+TEST_F(GroupServiceTest, WdRestartReplyLostStillRecovers) {
+  const net::NodeId victim = h.cluster.compute_nodes(net::PartitionId{0})[1];
+  h.cluster.fabric().set_drop_filter(
+      [](const net::Address&, const net::Address&, const net::Message& m) {
+        return m.type_id() == StartServiceReplyMsg::static_type_id();
+      });
+  h.injector.kill_daemon(h.kernel.watch_daemon(victim));
+  h.run_s(15.0);
+
+  const auto record = h.kernel.fault_log().last("WD");
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->kind, FaultKind::kProcessFailure);
+  EXPECT_EQ(record->node, victim);
+  EXPECT_TRUE(record->recovered);
   EXPECT_TRUE(h.kernel.watch_daemon(victim).alive());
   EXPECT_EQ(h.kernel.gsd(net::PartitionId{0}).node_status(victim),
             GroupServiceDaemon::NodeStatus::kHealthy);

@@ -94,7 +94,7 @@ TEST_P(FederationSweepTest, BulletinSeesEveryPartitionFromAnyInstance) {
                        static_cast<std::uint32_t>(p)})[0],
         net::PortId{static_cast<std::uint16_t>(200 + p)});
     auto query = std::make_shared<DbQueryMsg>();
-    query->query_id = 10 + p;
+    query->request_id = 10 + p;
     query->cluster_scope = true;
     query->table = BulletinTable::kNodes;
     query->reply_to = client.address();

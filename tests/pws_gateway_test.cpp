@@ -212,6 +212,75 @@ TEST(PwsGatewayTest, CancelAfterShipCancelsRemotely) {
   EXPECT_EQ(rig.pws.scheduler().stats().cancelled, 1u);
 }
 
+/// Records when each submit batch goes on the wire and drops the first
+/// `lose` batch replies.
+void watch_batches(SubmissionGateway& gateway, cluster::Cluster& cluster,
+                   std::vector<sim::SimTime>& sent, unsigned lose) {
+  const net::Address to_gateway = gateway.address();
+  auto left = std::make_shared<unsigned>(lose);
+  cluster.fabric().set_drop_filter(
+      [&sent, &cluster, to_gateway, left](const net::Address&,
+                                          const net::Address& to,
+                                          const net::Message& m) {
+        if (m.type_id() == PwsSubmitBatchMsg::static_type_id()) {
+          sent.push_back(cluster.now());
+          return false;
+        }
+        if (to != to_gateway ||
+            m.type_id() != PwsSubmitBatchReplyMsg::static_type_id() ||
+            *left == 0) {
+          return false;
+        }
+        --*left;
+        return true;
+      });
+}
+
+TEST(PwsGatewayTest, UnansweredBatchResentEveryTwoSecondsThenUnavailable) {
+  GatewayRig rig;
+  std::vector<sim::SimTime> sent;
+  watch_batches(*rig.gateway, rig.h.cluster, sent, ~0u);
+  SubmitStatus status = SubmitStatus::kAccepted;
+  sim::SimTime done_at = 0;
+  rig.gateway->submit(req("alice", 1, 0.05),
+                      [&](SubmissionGateway::Ticket, const BatchSubmitResult& r) {
+                        status = r.status;
+                        done_at = rig.h.cluster.now();
+                      });
+  rig.h.run_s(20.0);
+
+  ASSERT_EQ(sent.size(), 5u);
+  const sim::SimTime t = sent[0];
+  for (std::size_t i = 1; i < sent.size(); ++i) {
+    EXPECT_EQ(sent[i], t + static_cast<sim::SimTime>(2 * i) * sim::kSecond);
+  }
+  EXPECT_EQ(status, SubmitStatus::kUnavailable);
+  EXPECT_EQ(done_at, t + 10 * sim::kSecond);
+  EXPECT_EQ(rig.gateway->stats().retries, 4u);
+  EXPECT_EQ(rig.gateway->stats().failed, 1u);
+  EXPECT_EQ(rig.gateway->inflight(), 0u);
+}
+
+TEST(PwsGatewayTest, LostBatchReplyResentOnceThenQuiet) {
+  GatewayRig rig;
+  std::vector<sim::SimTime> sent;
+  watch_batches(*rig.gateway, rig.h.cluster, sent, 1);
+  SubmitStatus status = SubmitStatus::kUnavailable;
+  rig.gateway->submit(req("alice", 1, 0.05),
+                      [&](SubmissionGateway::Ticket, const BatchSubmitResult& r) {
+                        status = r.status;
+                      });
+  rig.h.run_s(20.0);
+
+  // The retransmit is answered from the scheduler's replay cache.
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[1], sent[0] + 2 * sim::kSecond);
+  EXPECT_EQ(status, SubmitStatus::kAccepted);
+  EXPECT_EQ(rig.gateway->stats().retries, 1u);
+  EXPECT_EQ(rig.pws.scheduler().jobs().size(), 1u);
+  EXPECT_EQ(rig.gateway->inflight(), 0u);
+}
+
 TEST(PwsGatewayTest, AdmissionTokenBucketThrottlesSpammer) {
   GatewayRig rig([](PwsConfig& c) {
     c.admission_rate = 1.0;

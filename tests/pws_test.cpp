@@ -8,6 +8,8 @@
 #include <limits>
 #include <memory>
 
+#include "kernel/bulletin/data_bulletin.h"
+#include "kernel/checkpoint/checkpoint_msgs.h"
 #include "kernel_fixture.h"
 #include "test_client.h"
 
@@ -303,6 +305,38 @@ TEST(PwsSecurityTest, UnauthorizedSubmissionRejected) {
   EXPECT_EQ(pws.scheduler().stats().rejected, 1u);
 }
 
+// A lost authorization reply rejects the submission instead of leaving the
+// job authorizing forever and the submitter unanswered.
+TEST(PwsSecurityTest, UnansweredAuthorizationRejects) {
+  KernelHarness h(small_cluster_spec(), fast_ft_params());
+  auto config = one_pool_config(h.cluster);
+  config.use_security = true;
+  PwsSystem pws(h.kernel, config);
+  auto& security = h.kernel.security();
+  security.add_user("alice", "pw", {"scientist"});
+  security.grant("scientist", "job.submit", "pool/batch");
+  h.run_s(1.0);
+  h.cluster.fabric().set_drop_filter(
+      [](const net::Address&, const net::Address&, const net::Message& m) {
+        return m.type_id() == kernel::AuthzReplyMsg::static_type_id();
+      });
+
+  TestClient client(h.cluster, net::NodeId{3});
+  auto msg = std::make_shared<PwsSubmitMsg>();
+  msg->request = req("alice", 1, 5.0);
+  msg->token = *security.authenticate("alice", "pw");
+  msg->reply_to = client.address();
+  msg->request_id = 1;
+  client.send_any(pws.scheduler().address(), msg);
+  h.run_s(10.0);
+
+  const auto* reply = client.last_of_type<PwsSubmitReplyMsg>();
+  ASSERT_NE(reply, nullptr);
+  EXPECT_FALSE(reply->accepted);
+  EXPECT_EQ(pws.scheduler().job(reply->job_id)->state, JobState::kRejected);
+  EXPECT_EQ(pws.scheduler().stats().rejected, 1u);
+}
+
 TEST(PwsHaTest, SchedulerProcessRestartKeepsJobs) {
   KernelHarness h(small_cluster_spec(), fast_ft_params());
   PwsSystem pws(h.kernel, one_pool_config(h.cluster));
@@ -343,6 +377,65 @@ TEST(PwsHaTest, JobCompletionDuringSchedulerOutageReconciled) {
   ASSERT_TRUE(pws.scheduler().alive());
   h.run_s(5.0);
   EXPECT_EQ(pws.scheduler().job(id)->state, JobState::kCompleted);
+}
+
+/// Kills the scheduler, steps until its restart, and loses the first reply
+/// of type LostT addressed to it. Then checks that it still comes up (its
+/// fault record closes) and that a second kill is repaired as well.
+template <typename LostT>
+void expect_restart_survives_lost_reply() {
+  KernelHarness h(small_cluster_spec(), fast_ft_params());
+  PwsSystem pws(h.kernel, one_pool_config(h.cluster));
+  h.run_s(1.0);
+  const JobId running = pws.submit(req("alice", 2, 600.0));
+  h.run_s(3.0);
+  ASSERT_EQ(pws.scheduler().job(running)->state, JobState::kRunning);
+
+  h.injector.kill_daemon(pws.scheduler());
+  const sim::SimTime give_up = h.cluster.now() + 60 * sim::kSecond;
+  while (!pws.scheduler().alive()) {
+    ASSERT_LT(h.cluster.now(), give_up);
+    ASSERT_TRUE(h.cluster.engine().step());
+  }
+  const net::Address scheduler = pws.scheduler().address();
+  auto lost = std::make_shared<bool>(false);
+  h.cluster.fabric().set_drop_filter(
+      [lost, scheduler](const net::Address&, const net::Address& to,
+                        const net::Message& m) {
+        if (*lost || to != scheduler || m.type_id() != LostT::static_type_id()) {
+          return false;
+        }
+        *lost = true;
+        return true;
+      });
+  h.run_s(30.0);
+  ASSERT_TRUE(*lost);
+
+  const auto first = h.kernel.fault_log().last("pws.scheduler");
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->recovered);
+  ASSERT_NE(pws.scheduler().job(running), nullptr);
+
+  h.run_s(30.0);
+  h.injector.kill_daemon(pws.scheduler());
+  h.run_s(30.0);
+  EXPECT_TRUE(pws.scheduler().alive());
+  const auto second = h.kernel.fault_log().last("pws.scheduler");
+  ASSERT_TRUE(second.has_value());
+  EXPECT_GT(second->detected_at, first->detected_at);
+  EXPECT_TRUE(second->recovered);
+}
+
+// The restarted scheduler's checkpoint load is retried when its reply is
+// lost, instead of leaving the scheduler unannounced — and the GSD, which
+// waits for that announcement, unable to repair a second kill.
+TEST(PwsHaTest, LostRestartLoadReplyStillComesUp) {
+  expect_restart_survives_lost_reply<kernel::CheckpointLoadReplyMsg>();
+}
+
+// Same for the bulletin reconcile that follows the load.
+TEST(PwsHaTest, LostReconcileReplyStillComesUp) {
+  expect_restart_survives_lost_reply<kernel::DbQueryReplyMsg>();
 }
 
 // Crashing the scheduler's node takes its partition's GSD down too. The GSD
