@@ -8,9 +8,6 @@
 
 namespace phoenix::cluster {
 
-RpcClient::RpcClient(Daemon& owner, net::RetryPolicy policy)
-    : owner_(owner), policy_(policy) {}
-
 RpcClient::~RpcClient() { drop_all(); }
 
 void RpcClient::send(std::shared_ptr<const net::Message> request, Router route,
@@ -30,7 +27,6 @@ void RpcClient::launch(std::uint64_t id, Call call, net::CallOptions opts,
                        const char* op) {
   if (opts.deadline == 0) opts.deadline = default_deadline_;
   if (opts.max_retries < 0) opts.max_retries = policy_.default_max_retries;
-  if (!opts.idempotent) opts.max_retries = 0;
   call.opts = opts;
   call.op = op;
   call.issued_at = owner_.now();
@@ -82,7 +78,9 @@ void RpcClient::start_attempt(std::uint64_t id) {
     scope.emplace(obs::TraceContext{c.ctx.trace_id, attempt_span});
   }
   const bool sent =
-      route.target.valid() && owner_.send_any(route.target, c.request).valid();
+      route.target.valid() &&
+      (c.every_network ? owner_.send_all_networks(route.target, c.request) > 0
+                       : owner_.send_any(route.target, c.request).valid());
   scope.reset();
   if (c.ctx.active()) {
     const char* outcome = !sent           ? "send_failed"
@@ -103,11 +101,14 @@ void RpcClient::start_attempt(std::uint64_t id) {
     return;
   }
 
-  // Jitter is drawn only when a retry actually happens, so fault-free runs
-  // consume no randomness.
-  sim::SimTime wait = policy_.rto_for(c.attempt);
-  if (c.attempt > 1 && policy_.jitter_frac > 0.0) {
-    wait = policy_.jittered(wait, owner_.engine().rng());
+  // Jitter is drawn only when a backoff retry actually happens, so
+  // fault-free runs consume no randomness.
+  sim::SimTime wait = c.opts.rto;
+  if (wait == 0) {
+    wait = policy_.rto_for(c.attempt);
+    if (c.attempt > 1 && policy_.jitter_frac > 0.0) {
+      wait = policy_.jittered(wait, owner_.engine().rng());
+    }
   }
   const sim::SimTime fire_at = std::min(owner_.now() + wait, c.deadline_at);
   c.timer = owner_.engine().schedule_at(fire_at, [this, id] { on_timer(id); });

@@ -4,11 +4,14 @@
 // The owning daemon hands the client every envelope it receives (deliver()).
 // A call mints the request id, stamps it (and the attempt ordinal, where the
 // request has one) into the request and sends it from the owner's address,
-// so the request's reply_to stays the owner's and no wire byte changes. It
-// then runs net::RetryPolicy's timer: attempt n waits rto_for(n), jittered
-// only on retries and capped at the call's deadline, then retransmits or
-// fails. Replies match on their request_id. Every call completes exactly once
-// with a net::Result; the client keeps the call/attempt spans, the latency
+// so the request's reply_to stays the owner's and no wire byte changes; a
+// request type with `static constexpr bool kEveryNetwork = true` (the PPM
+// liveness probe) goes out on every network instead of the first usable
+// one. The client then runs the call's timer: attempt n waits the call's
+// fixed CallOptions::rto, or else net::RetryPolicy's rto_for(n) jittered
+// only on retries, capped at the call's deadline, then retransmits or fails.
+// Replies match on their request_id. Every call completes exactly once with
+// a net::Result; the client keeps the call/attempt spans, the latency
 // histogram and the per-status counters. A timer that fires while the owner
 // is dead fails its call without sending and without drawing jitter.
 #pragma once
@@ -42,12 +45,13 @@ class RpcClient {
   /// Re-evaluated before every attempt (directory re-resolution, failover).
   using Router = std::function<Route()>;
 
-  explicit RpcClient(Daemon& owner, net::RetryPolicy policy = {});
+  explicit RpcClient(Daemon& owner) : owner_(owner) {}
   ~RpcClient();
   RpcClient(const RpcClient&) = delete;
   RpcClient& operator=(const RpcClient&) = delete;
 
-  /// Backoff schedule and default retry budget of every call.
+  /// Default retry budget of every call, and backoff schedule of every
+  /// call without a fixed CallOptions::rto.
   net::RetryPolicy& policy() noexcept { return policy_; }
   const net::RetryPolicy& policy() const noexcept { return policy_; }
 
@@ -70,6 +74,9 @@ class RpcClient {
     request->request_id = id;
     Call c;
     if constexpr (requires { request->attempt; }) c.attempt_field = &request->attempt;
+    if constexpr (requires { Req::kEveryNetwork; }) {
+      c.every_network = Req::kEveryNetwork;
+    }
     c.reply_type = expect_reply<Reply>();
     c.request = std::move(request);
     c.route = std::move(route);
@@ -116,6 +123,7 @@ class RpcClient {
   struct Call {
     std::shared_ptr<const net::Message> request;
     std::uint16_t* attempt_field = nullptr;  // request's attempt ordinal slot
+    bool every_network = false;              // each attempt on every network
     Router route;
     std::function<void(Status, const net::Message*)> done;
     net::MessageTypeId reply_type;  // invalid for one-way calls

@@ -187,17 +187,6 @@ void KernelApi::query(BulletinTable table, bool cluster_scope,
       opts, "query");
 }
 
-void KernelApi::service_stats(Callback<std::vector<ServiceStatsRecord>> done,
-                              CallOptions opts) {
-  call<DbServiceStatsReplyMsg>(
-      std::make_shared<DbServiceStatsQueryMsg>(),
-      route_to(ServiceKind::kDataBulletin, true), std::move(done),
-      [](const DbServiceStatsReplyMsg& reply) {
-        return Result<std::vector<ServiceStatsRecord>>::success(reply.rows);
-      },
-      opts, "service_stats");
-}
-
 // --- events ---------------------------------------------------------------------
 
 namespace {
@@ -245,29 +234,6 @@ void KernelApi::spawn(net::NodeId node, ProcessSpec spec,
         return Result<cluster::Pid>::success(reply.pid);
       },
       opts, "spawn");
-}
-
-void KernelApi::parallel_command(const std::string& command,
-                                 std::vector<net::NodeId> nodes,
-                                 std::size_t fanout,
-                                 Callback<CommandOutcome> done,
-                                 CallOptions opts) {
-  if (nodes.empty()) {
-    if (done) done(Result<CommandOutcome>::success({}));
-    return;
-  }
-  const net::Address root{nodes.front(), port_of(ServiceKind::kProcessManager)};
-  auto msg = std::make_shared<ParallelCmdMsg>();
-  msg->command = command;
-  msg->nodes = std::move(nodes);
-  msg->fanout = fanout;
-  call<ParallelCmdReplyMsg>(
-      std::move(msg), root, std::move(done),
-      [](const ParallelCmdReplyMsg& reply) {
-        return Result<CommandOutcome>::success(
-            CommandOutcome{reply.succeeded, reply.failed});
-      },
-      opts, "parallel_command");
 }
 
 // --- dispatch -------------------------------------------------------------------

@@ -51,12 +51,6 @@ struct BulletinSnapshot {
   std::uint32_t partitions_included = 0;
 };
 
-/// Aggregated result of a parallel command tree.
-struct CommandOutcome {
-  std::uint64_t succeeded = 0;
-  std::uint64_t failed = 0;
-};
-
 class KernelApi final : public cluster::Daemon {
  public:
   using Status = net::Status;
@@ -122,12 +116,6 @@ class KernelApi final : public cluster::Daemon {
   void query(BulletinTable table, bool cluster_scope, BulletinFilter filter,
              Callback<BulletinSnapshot> done, CallOptions opts = {});
 
-  /// Per-service runtime health rows (ServiceRuntime counters) held by the
-  /// home partition's bulletin. Populated only when
-  /// FtParams::service_stats_interval is enabled; empty otherwise.
-  void service_stats(Callback<std::vector<ServiceStatsRecord>> done,
-                     CallOptions opts = {});
-
   // --- events ----------------------------------------------------------------
 
   using EventCallback = std::function<void(const Event&)>;
@@ -148,10 +136,6 @@ class KernelApi final : public cluster::Daemon {
   void spawn(net::NodeId node, ProcessSpec spec, Callback<cluster::Pid> done,
              std::function<void(cluster::Pid)> on_exit = {},
              CallOptions opts = {});
-
-  void parallel_command(const std::string& command,
-                        std::vector<net::NodeId> nodes, std::size_t fanout,
-                        Callback<CommandOutcome> done, CallOptions opts = {});
 
   // --- observability ----------------------------------------------------------
 

@@ -81,19 +81,6 @@ DataBulletin::DataBulletin(cluster::Cluster& cluster, net::NodeId node,
   on<DbQueryReplyMsg>([this](const DbQueryReplyMsg& pr, const net::Envelope& env) {
     merge_query_reply(pr, env);
   });
-  on<ServiceStatsMsg>([this](const ServiceStatsMsg& stats) {
-    ServiceStatsRecord& rec = stats_rows_[stats.service];
-    rec.row = stats;
-    rec.updated_at = now();
-  });
-  on<DbServiceStatsQueryMsg>([this](const DbServiceStatsQueryMsg& q) {
-    serve_idempotent(q, [&] {
-      auto reply = std::make_shared<DbServiceStatsReplyMsg>();
-      reply->request_id = q.request_id;
-      reply->rows = service_stats();
-      return reply;
-    });
-  });
 }
 
 void DataBulletin::set_staleness_horizon(sim::SimTime t) {
@@ -108,13 +95,6 @@ void DataBulletin::on_service_start() {
 }
 
 void DataBulletin::on_service_stop() { sweeper_.stop(); }
-
-std::vector<ServiceStatsRecord> DataBulletin::service_stats() const {
-  std::vector<ServiceStatsRecord> out;
-  out.reserve(stats_rows_.size());
-  for (const auto& [name, rec] : stats_rows_) out.push_back(rec);
-  return out;
-}
 
 void DataBulletin::sweep_stale() {
   if (staleness_horizon_ == 0 || !alive()) return;

@@ -205,37 +205,6 @@ struct DbQueryReplyMsg final : net::Message {
   }
 };
 
-/// Last counter row received from one ServiceRuntime daemon
-/// (runtime.service_stats; published when FtParams::service_stats_interval
-/// is enabled).
-struct ServiceStatsRecord {
-  ServiceStatsMsg row;
-  sim::SimTime updated_at = 0;
-};
-
-/// Client request for the per-service runtime health rows this instance
-/// holds (GridView-style service dashboards; KernelApi::service_stats).
-struct DbServiceStatsQueryMsg final : net::Message {
-  std::uint64_t request_id = 0;
-  net::Address reply_to;
-  std::uint16_t attempt = 1;  // header-resident; excluded from wire_size()
-
-  PHOENIX_MESSAGE_TYPE("db.service_stats_query")
-  std::size_t wire_size() const noexcept override { return 16; }
-};
-
-struct DbServiceStatsReplyMsg final : net::Message {
-  std::uint64_t request_id = 0;
-  std::vector<ServiceStatsRecord> rows;
-
-  PHOENIX_MESSAGE_TYPE("db.service_stats_reply")
-  std::size_t wire_size() const noexcept override {
-    std::size_t n = 8;
-    for (const auto& r : rows) n += r.row.wire_size() + 8;
-    return n;
-  }
-};
-
 class DataBulletin final : public ServiceRuntime {
  public:
   DataBulletin(cluster::Cluster& cluster, net::NodeId node,
@@ -277,10 +246,6 @@ class DataBulletin final : public ServiceRuntime {
   /// flight (its reply answers the retry too). Queries are reads, so they
   /// are not replay-cached — a later retry re-executes against fresh rows.
   std::uint64_t duplicate_queries() const noexcept { return duplicate_queries_; }
-
-  /// Per-service health rows this instance has received (one per runtime
-  /// daemon publishing into this partition), service-name order unspecified.
-  std::vector<ServiceStatsRecord> service_stats() const;
 
   /// One staleness sweep now (also runs periodically while started).
   void sweep_stale();
@@ -334,7 +299,6 @@ class DataBulletin final : public ServiceRuntime {
   std::uint64_t duplicate_queries_ = 0;
   std::unordered_map<std::uint64_t, PendingQuery> pending_;
   std::uint64_t next_local_id_ = 1;
-  std::unordered_map<std::string, ServiceStatsRecord> stats_rows_;
 };
 
 }  // namespace phoenix::kernel

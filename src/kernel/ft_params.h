@@ -139,12 +139,6 @@ struct FtParams {
   /// repopulation) can stay stale.
   unsigned detector_resync_every = 12;
 
-  /// Period for each ServiceRuntime daemon to publish its counter row
-  /// (ServiceStatsMsg) into the partition bulletin. 0 disables publishing
-  /// entirely (the default keeps the wire traffic of the paper experiments
-  /// unchanged).
-  SimTime service_stats_interval = 0;
-
   /// Meta-group takeover policy (defaults to the paper's unilateral
   /// protocol; FailoverPolicy::quorum() opts into regroup + fencing).
   FailoverPolicy failover{};

@@ -68,7 +68,7 @@ GroupServiceDaemon::GroupServiceDaemon(cluster::Cluster& cluster, net::NodeId no
   on<RingHeartbeatMsg>([this](const RingHeartbeatMsg& ring, const net::Envelope& env) {
     if (MembershipRing* r = ring_for(ring.scope)) r->handle_ring_heartbeat(ring, env);
   });
-  on<ProbeReplyMsg>([this](const ProbeReplyMsg& reply) { handle_probe_reply(reply); });
+  on<ProbeReplyMsg>([this](const ProbeReplyMsg& reply) { rpc_.deliver(reply); });
   on<ViewChangeMsg>([this](const ViewChangeMsg& msg) {
     if (MembershipRing* r = ring_for(msg.scope)) r->apply_view(msg.view);
   });
@@ -140,7 +140,6 @@ void GroupServiceDaemon::on_service_start() {
     watches_.emplace(n.value, std::move(watch));
   }
   primary_ring_->reset_runtime_state(nets);
-  probes_.clear();
   rpc_.drop_all();
   service_recovering_.clear();
   if (top_ring_ != nullptr) {
@@ -523,18 +522,43 @@ void GroupServiceDaemon::census_probe(net::PartitionId target, bool top) {
         std::string(top ? "orphan-zone census" : "zone census") +
             ": probing partition " + std::to_string(target.value) + " on node " +
             std::to_string(node.value));
-  const std::uint64_t id = next_probe_id_++;
-  Probe probe;
-  probe.node = node;
-  probe.attempts_left = 2;
-  probe.detected_at = now();
-  probe.started_at = now();
-  probe.last_seen_at = now();
-  probe.census = true;
-  probe.census_partition = target;
-  probe.census_top = top;
-  probes_.emplace(id, probe);
-  probe_attempt(id);
+  probe(node, 2, params_.node_probe_timeout,
+        [this, node, target, top](const ProbeReplyMsg* reply) {
+          // Repair on behalf of the ring that missed the partition (its
+          // epoch/scope stamp the orders).
+          MembershipRing& ring =
+              top && top_ring_ != nullptr ? *top_ring_ : *primary_ring_;
+          if (reply == nullptr) {
+            // Census target unreachable: migrate the partition.
+            migrate_partition(
+                MetaMember{target, {node, port_of(ServiceKind::kGroupService)}, 0},
+                ring);
+          } else if (reply->gsd_running) {
+            // Alive but absent from the ring: a stale believer (e.g. an
+            // isolated ex-leader still holding its old view). Re-invite it by
+            // sending the ring's current view — a higher view id dislodges
+            // its stale one and its rejoin logic does the rest.
+            auto msg = std::make_shared<ViewChangeMsg>();
+            msg->view = ring.view();
+            msg->scope = ring.scope();
+            send_any(directory()->service_address(ServiceKind::kGroupService, target),
+                     std::move(msg));
+          } else {
+            // Node alive, GSD process dead: restart it in place under the
+            // ring's current epoch.
+            trace(sim::TraceLevel::kInfo,
+                  "census: restarting dead GSD of partition " +
+                      std::to_string(target.value));
+            auto restart = std::make_shared<StartServiceMsg>();
+            restart->kind = ServiceKind::kGroupService;
+            restart->partition = target;
+            restart->create = false;
+            restart->request_id = rpc_.mint_id();
+            restart->epoch = ring.view().epoch;
+            restart->scope = ring.scope();
+            send_any(ppm_at(node), std::move(restart));
+          }
+        });
 }
 
 // --- partition (WD) monitoring ----------------------------------------------
@@ -649,51 +673,42 @@ void GroupServiceDaemon::begin_node_diagnosis(net::NodeId node) {
   NodeWatch& watch = watches_.at(node.value);
   watch.status = NodeStatus::kSuspect;
   watch.diagnosing = true;
-  const std::uint64_t id = next_probe_id_++;
-  Probe probe;
-  probe.node = node;
-  probe.attempts_left = params_.node_probe_attempts;
-  probe.detected_at = now();
-  probe.started_at = now();
-  probe.last_seen_at =
+  const sim::SimTime detected_at = now();
+  const sim::SimTime last_seen_at =
       *std::max_element(watch.last_per_net.begin(), watch.last_per_net.end());
-  probes_.emplace(id, probe);
-  probe_attempt(id);
+  probe(node, params_.node_probe_attempts, params_.node_probe_timeout,
+        [this, node, detected_at, last_seen_at](const ProbeReplyMsg* reply) {
+          if (reply == nullptr) {
+            // Every attempt timed out: the node is dead.
+            conclude_node_failure(node, detected_at, last_seen_at);
+          } else if (reply->wd_running) {
+            // False alarm (lost heartbeats): the WD process is alive.
+            NodeWatch& w = watches_.at(node.value);
+            w.diagnosing = false;
+            w.status = NodeStatus::kHealthy;
+            std::fill(w.last_per_net.begin(), w.last_per_net.end(), now());
+          } else {
+            // The node answered and its WD is dead. One more confirmation
+            // round before declaring it.
+            engine().schedule_after(
+                params_.process_confirm_delay, [this, node, detected_at, last_seen_at] {
+                  conclude_wd_process_failure(node, detected_at, last_seen_at);
+                });
+          }
+        });
 }
 
-void GroupServiceDaemon::probe_attempt(std::uint64_t probe_id) {
-  if (!alive()) return;
-  auto it = probes_.find(probe_id);
-  if (it == probes_.end() || it->second.answered) return;
-  Probe& probe = it->second;
-
-  if (probe.attempts_left == 0) {
-    // Every attempt timed out: the node is dead.
-    const Probe dead = probe;
-    probes_.erase(it);
-    if (dead.census) {
-      // Census target unreachable: migrate the partition on behalf of the
-      // ring that missed it (its epoch/scope stamp the migration order).
-      MembershipRing& ring =
-          dead.census_top && top_ring_ != nullptr ? *top_ring_ : *primary_ring_;
-      migrate_partition(
-          MetaMember{dead.census_partition,
-                     {dead.node, port_of(ServiceKind::kGroupService)},
-                     0},
-          ring);
-    } else {
-      conclude_node_failure(dead.node, dead.detected_at, dead.last_seen_at);
-    }
-    return;
-  }
-
-  --probe.attempts_left;
+void GroupServiceDaemon::probe(net::NodeId node, int attempts, sim::SimTime timeout,
+                               std::function<void(const ProbeReplyMsg*)> done) {
   auto msg = std::make_shared<ProbeMsg>();
   msg->reply_to = address();
-  msg->probe_id = probe_id;
-  send_all_networks(ppm_at(probe.node), std::move(msg));
-  engine().schedule_after(params_.node_probe_timeout,
-                          [this, probe_id] { probe_attempt(probe_id); });
+  rpc_.call<ProbeReplyMsg>(
+      std::move(msg), ppm_at(node),
+      [this, done = std::move(done)](net::Result<const ProbeReplyMsg*> reply) {
+        if (alive()) done(reply ? reply.value : nullptr);
+      },
+      {.deadline = attempts * timeout, .max_retries = attempts - 1, .rto = timeout},
+      "probe");
 }
 
 void GroupServiceDaemon::conclude_wd_process_failure(net::NodeId node,
@@ -955,70 +970,6 @@ void GroupServiceDaemon::handle_service_up(const ServiceUpMsg& up) {
 }
 
 // --- message handlers ---------------------------------------------------------
-
-void GroupServiceDaemon::handle_probe_reply(const ProbeReplyMsg& reply) {
-  // Probe ids are globally unique across the rings' tables and ours, so the
-  // reply matches exactly one owner; route rings first (vote probes, then
-  // predecessor-diagnosis probes).
-  if (primary_ring_->consume_probe_reply(reply)) return;
-  if (top_ring_ != nullptr && top_ring_->consume_probe_reply(reply)) return;
-
-  auto it = probes_.find(reply.probe_id);
-  if (it == probes_.end() || it->second.answered) return;
-  it->second.answered = true;
-  const Probe probe = it->second;
-  probes_.erase(it);
-  if (probe.census) {
-    MembershipRing& ring =
-        probe.census_top && top_ring_ != nullptr ? *top_ring_ : *primary_ring_;
-    if (reply.gsd_running) {
-      // Alive but absent from the ring: a stale believer (e.g. an isolated
-      // ex-leader still holding its old view). Re-invite it by sending the
-      // ring's current view — a higher view id dislodges its stale one and
-      // its rejoin logic does the rest.
-      auto msg = std::make_shared<ViewChangeMsg>();
-      msg->view = ring.view();
-      msg->scope = ring.scope();
-      send_any(directory()->service_address(ServiceKind::kGroupService,
-                                            probe.census_partition),
-               std::move(msg));
-      return;
-    }
-    // Node alive, GSD process dead: restart it in place under the ring's
-    // current epoch.
-    trace(sim::TraceLevel::kInfo,
-          "census: restarting dead GSD of partition " +
-              std::to_string(probe.census_partition.value));
-    auto restart = std::make_shared<StartServiceMsg>();
-    restart->kind = ServiceKind::kGroupService;
-    restart->partition = probe.census_partition;
-    restart->create = false;
-    restart->request_id = rpc_.mint_id();
-    restart->epoch = ring.view().epoch;
-    restart->scope = ring.scope();
-    send_any(ppm_at(probe.node), std::move(restart));
-    return;
-  }
-  if (reply.wd_running) {
-    // False alarm (lost heartbeats): the WD process is alive.
-    auto wit = watches_.find(probe.node.value);
-    if (wit != watches_.end()) {
-      wit->second.diagnosing = false;
-      wit->second.status = NodeStatus::kHealthy;
-      std::fill(wit->second.last_per_net.begin(), wit->second.last_per_net.end(),
-                now());
-    }
-    return;
-  }
-  // The node answered and its WD is dead. One more confirmation round
-  // before declaring it.
-  engine().schedule_after(params_.process_confirm_delay,
-                          [this, probe] {
-                            conclude_wd_process_failure(
-                                probe.node, probe.detected_at,
-                                probe.last_seen_at);
-                          });
-}
 
 void GroupServiceDaemon::finish_wd_restart(net::NodeId node, bool restarted) {
   if (!alive()) return;

@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -179,7 +180,10 @@ class GroupServiceDaemon final : public ServiceRuntime,
   net::PartitionId ring_partition() const override { return partition_; }
   ServiceDirectory* ring_directory() override { return directory(); }
   std::uint64_t ring_incarnation() const override { return incarnation_; }
-  std::uint64_t ring_next_probe_id() override { return next_probe_id_++; }
+  void ring_probe(net::NodeId node, sim::SimTime timeout,
+                  std::function<void(const ProbeReplyMsg*)> done) override {
+    probe(node, 1, timeout, std::move(done));
+  }
   void ring_trace(sim::TraceLevel level, const std::string& text) override;
   void ring_publish(Event e) override;
   void ring_send_any(net::Address to,
@@ -225,13 +229,17 @@ class GroupServiceDaemon final : public ServiceRuntime,
 
   // -- partition monitoring --
   void handle_heartbeat(const HeartbeatMsg& hb, net::NetworkId network);
-  void handle_probe_reply(const ProbeReplyMsg& reply);
+  /// Probes `node`'s PPM over every network, up to `attempts` times
+  /// `timeout` apart, and completes `done` with the first reply, or with
+  /// nullptr once the last attempt went unanswered. A late reply to an
+  /// earlier attempt still counts. Not called back while this GSD is dead.
+  void probe(net::NodeId node, int attempts, sim::SimTime timeout,
+             std::function<void(const ProbeReplyMsg*)> done);
   /// Completion of a WD restart ordered by conclude_wd_process_failure.
   void finish_wd_restart(net::NodeId node, bool restarted);
   void handle_state_load_reply(const CheckpointLoadReplyMsg& reply);
   void check_partition();
   void begin_node_diagnosis(net::NodeId node);
-  void probe_attempt(std::uint64_t probe_id);
   void conclude_wd_process_failure(net::NodeId node, sim::SimTime detected_at,
                                    sim::SimTime last_seen_at);
   void conclude_node_failure(net::NodeId node, sim::SimTime detected_at,
@@ -290,24 +298,9 @@ class GroupServiceDaemon final : public ServiceRuntime,
   std::unordered_map<std::uint32_t, NodeWatch> watches_;
   std::uint64_t heartbeats_received_ = 0;
 
-  // Probe bookkeeping (WD diagnosis + census probes; the rings keep their
-  // own probe tables, all drawing ids from the shared counter below).
-  struct Probe {
-    net::NodeId node;
-    int attempts_left = 0;
-    sim::SimTime detected_at = 0;
-    sim::SimTime started_at = 0;
-    sim::SimTime last_seen_at = 0;
-    bool answered = false;
-    bool census = false;              // census probe (zoned hierarchy repair)
-    net::PartitionId census_partition;  // partition under census
-    bool census_top = false;          // repair on behalf of the top ring
-  };
-  std::unordered_map<std::uint64_t, Probe> probes_;
-  std::uint64_t next_probe_id_ = 1;
-
-  // WD restarts in flight; also mints the ids of the StartService orders
-  // sent without a reply address.
+  // Liveness probes (node diagnosis, census and the rings' probes) and WD
+  // restarts in flight; also mints the ids of the StartService orders sent
+  // without a reply address.
   cluster::RpcClient rpc_;
 
   // Membership rings. primary_ring_ always exists (scope 0 flat, or the

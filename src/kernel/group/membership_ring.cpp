@@ -117,9 +117,7 @@ void MembershipRing::reset_runtime_state(std::size_t network_count) {
   pred_last_per_net_.assign(network_count, now());
   pred_net_failed_.assign(network_count, false);
   pred_diagnosing_ = false;
-  probes_.clear();
   regroup_.reset();
-  vote_probes_.clear();
   answered_rounds_.clear();
   futile_join_attempts_ = 0;
 }
@@ -189,15 +187,15 @@ void MembershipRing::check_meta() {
             std::to_string(pred->partition.value) +
             " silent on all networks; split-brain suspect, probing");
     pred_diagnosing_ = true;
-    const std::uint64_t id = host_.ring_next_probe_id();
-    MetaProbe probe;
-    probe.member = *pred;
-    probe.attempts_left = 1;
-    probe.detected_at = now();
-    probe.last_seen_at =
+    const sim::SimTime last_seen_at =
         *std::max_element(pred_last_per_net_.begin(), pred_last_per_net_.end());
-    probes_.emplace(id, probe);
-    probe_attempt(id);
+    host_.ring_probe(pred->gsd.node, params_.meta_probe_timeout,
+                     [this, member = *pred, detected_at = now(), last_seen_at,
+                      exonerations = pred_exonerations_](const ProbeReplyMsg* reply) {
+                       // A heartbeat since the probe went out voids it.
+                       if (exonerations != pred_exonerations_) return;
+                       pred_probe_done(member, detected_at, last_seen_at, reply);
+                     });
     return;
   }
   const sim::SimTime net_threshold =
@@ -213,64 +211,28 @@ void MembershipRing::check_meta() {
   }
 }
 
-void MembershipRing::probe_attempt(std::uint64_t probe_id) {
-  if (!host_.ring_alive()) return;
-  auto it = probes_.find(probe_id);
-  if (it == probes_.end() || it->second.answered) return;
-  MetaProbe& probe = it->second;
-
-  if (probe.attempts_left == 0) {
-    // Every attempt timed out: the node is dead.
-    const MetaMember member = probe.member;
-    const sim::SimTime detected = probe.detected_at;
-    const sim::SimTime last_seen = probe.last_seen_at;
-    probes_.erase(it);
-    conclude_meta_failure(member, /*node_dead=*/true, detected, last_seen);
+void MembershipRing::pred_probe_done(const MetaMember& pred, sim::SimTime detected_at,
+                                     sim::SimTime last_seen_at,
+                                     const ProbeReplyMsg* reply) {
+  if (reply == nullptr) {
+    conclude_meta_failure(pred, /*node_dead=*/true, detected_at, last_seen_at);
     return;
   }
-
-  --probe.attempts_left;
-  auto msg = std::make_shared<ProbeMsg>();
-  msg->reply_to = host_.ring_address();
-  msg->probe_id = probe_id;
-  host_.ring_send_all_networks(ppm_at(probe.member.gsd.node), std::move(msg));
-  cluster_.engine().schedule_after(params_.meta_probe_timeout,
-                                   [this, probe_id] { probe_attempt(probe_id); });
-}
-
-bool MembershipRing::consume_probe_reply(const ProbeReplyMsg& reply) {
-  // Voter-side regroup probe: our own reachability check of a solicited
-  // suspect. Alive GSD => dissent; node up but GSD dead => concur.
-  auto vit = vote_probes_.find(reply.probe_id);
-  if (vit != vote_probes_.end()) {
-    const PendingVote pending = vit->second;
-    vote_probes_.erase(vit);
-    cast_vote(pending.reply_to, pending.round_id, !reply.gsd_running);
-    return true;
-  }
-
-  auto it = probes_.find(reply.probe_id);
-  if (it == probes_.end()) return false;
-  if (it->second.answered) return true;
-  it->second.answered = true;
-  const MetaProbe probe = it->second;
-  probes_.erase(it);
-  if (reply.gsd_running) {
+  if (reply->gsd_running) {
     // The GSD process is alive on its node: the ring heartbeats were
     // lost in transit, not a failure. Reset the grace window.
     pred_diagnosing_ = false;
-    if (probe.member.partition == pred_partition_) {
+    if (pred.partition == pred_partition_) {
       std::fill(pred_last_per_net_.begin(), pred_last_per_net_.end(), now());
     }
-    return true;
+    return;
   }
   // The node answered but its GSD is dead: one confirmation round
   // before declaring the GSD process dead and reforming the ring.
-  cluster_.engine().schedule_after(params_.process_confirm_delay, [this, probe] {
-    conclude_meta_failure(probe.member, /*node_dead=*/false, probe.detected_at,
-                          probe.last_seen_at);
-  });
-  return true;
+  cluster_.engine().schedule_after(
+      params_.process_confirm_delay, [this, pred, detected_at, last_seen_at] {
+        conclude_meta_failure(pred, /*node_dead=*/false, detected_at, last_seen_at);
+      });
 }
 
 void MembershipRing::handle_ring_heartbeat(const RingHeartbeatMsg& ring,
@@ -281,11 +243,9 @@ void MembershipRing::handle_ring_heartbeat(const RingHeartbeatMsg& ring,
   }
   pred_last_per_net_[env.network.value] = now();
   if (pred_diagnosing_) {
-    // A live predecessor cancels any suspicion, including probes in flight.
+    // A live predecessor cancels any suspicion, including a probe in flight.
     pred_diagnosing_ = false;
-    std::erase_if(probes_, [&](const auto& kv) {
-      return kv.second.member.partition == ring.from_partition;
-    });
+    ++pred_exonerations_;
   }
   if (regroup_ && regroup_->suspect.partition == ring.from_partition) {
     // Direct proof of life mid-regroup: exonerate without waiting for votes.
@@ -557,23 +517,13 @@ void MembershipRing::handle_regroup_propose(const RegroupProposeMsg& proposal) {
   }
 
   // Independent probe over OUR links — the initiator may sit behind a
-  // one-way blackhole that we do not.
-  const std::uint64_t id = host_.ring_next_probe_id();
-  vote_probes_.emplace(id, PendingVote{proposal.reply_to, proposal.suspect,
-                                       proposal.round_id});
-  auto probe = std::make_shared<ProbeMsg>();
-  probe->reply_to = host_.ring_address();
-  probe->probe_id = id;
-  host_.ring_send_all_networks(ppm_at(suspect.gsd.node), std::move(probe));
-  cluster_.engine().schedule_after(
-      kRegroupProbeTimeout, [this, id] {
-        auto it = vote_probes_.find(id);
-        if (it == vote_probes_.end()) return;  // reply beat the timeout
-        const PendingVote pending = it->second;
-        vote_probes_.erase(it);
-        if (!host_.ring_alive()) return;
-        // Silent from our side too: concur with the removal.
-        cast_vote(pending.reply_to, pending.round_id, true);
+  // one-way blackhole that we do not. Alive GSD => dissent; node up but GSD
+  // dead, or silent from our side too => concur.
+  host_.ring_probe(
+      suspect.gsd.node, kRegroupProbeTimeout,
+      [this, reply_to = proposal.reply_to,
+       round = proposal.round_id](const ProbeReplyMsg* reply) {
+        cast_vote(reply_to, round, reply == nullptr || !reply->gsd_running);
       });
 }
 

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -75,9 +76,11 @@ class MembershipRing {
     virtual net::PartitionId ring_partition() const = 0;
     virtual ServiceDirectory* ring_directory() = 0;
     virtual std::uint64_t ring_incarnation() const = 0;
-    /// Probe ids are drawn from the host's single counter so replies can be
-    /// routed across every ring and the host's own probe tables by bare id.
-    virtual std::uint64_t ring_next_probe_id() = 0;
+    /// Probes `node`'s PPM once over every network and completes `done` with
+    /// the reply, or with nullptr when none came within `timeout`. Not called
+    /// back while the host is dead.
+    virtual void ring_probe(net::NodeId node, sim::SimTime timeout,
+                            std::function<void(const ProbeReplyMsg*)> done) = 0;
     virtual void ring_trace(sim::TraceLevel level, const std::string& text) = 0;
     virtual void ring_publish(Event e) = 0;
     virtual void ring_send_any(net::Address to,
@@ -171,9 +174,6 @@ class MembershipRing {
   void handle_join(const MetaJoinMsg& join);
   void handle_regroup_propose(const RegroupProposeMsg& proposal);
   void handle_regroup_vote(const RegroupVoteMsg& vote);
-  /// True if the reply answered one of this ring's probes (vote probes
-  /// first, then predecessor-diagnosis probes), consuming it.
-  bool consume_probe_reply(const ProbeReplyMsg& reply);
 
   // -- observers --
   const Config& config() const noexcept { return config_; }
@@ -192,7 +192,10 @@ class MembershipRing {
  private:
   void send_ring_heartbeat();
   void check_meta();
-  void probe_attempt(std::uint64_t probe_id);
+  /// Outcome of the predecessor probe check_meta started (`reply` null: no
+  /// answer, the node is dead).
+  void pred_probe_done(const MetaMember& pred, sim::SimTime detected_at,
+                       sim::SimTime last_seen_at, const ProbeReplyMsg* reply);
   void conclude_meta_failure(const MetaMember& pred, bool node_dead,
                              sim::SimTime detected_at, sim::SimTime last_seen_at);
   void commit_member_removal(const MetaMember& pred, bool node_dead,
@@ -239,17 +242,10 @@ class MembershipRing {
   std::vector<bool> pred_net_failed_;
   net::PartitionId pred_partition_{};
   bool pred_diagnosing_ = false;
+  /// Predecessor diagnoses a ring heartbeat cut short; a probe that started
+  /// before the latest one is void.
+  std::uint64_t pred_exonerations_ = 0;
   std::unordered_map<std::uint32_t, std::uint64_t> tombstones_;  // partition -> incarnation
-
-  // Predecessor-diagnosis probes in flight (ids from the host counter).
-  struct MetaProbe {
-    MetaMember member;
-    int attempts_left = 0;
-    sim::SimTime detected_at = 0;
-    sim::SimTime last_seen_at = 0;
-    bool answered = false;
-  };
-  std::unordered_map<std::uint64_t, MetaProbe> probes_;
 
   // Quorum regroup state (initiator side). One regroup at a time: the view
   // change it commits re-evaluates every other suspicion anyway.
@@ -274,13 +270,6 @@ class MembershipRing {
   std::uint64_t quorum_losses_ = 0;
   std::uint64_t regroup_votes_cast_ = 0;
 
-  // Voter side: independent suspect probes in flight, keyed by probe id.
-  struct PendingVote {
-    net::Address reply_to;
-    net::PartitionId suspect;
-    std::uint64_t round_id = 0;
-  };
-  std::unordered_map<std::uint64_t, PendingVote> vote_probes_;
   // Initiator partition -> last round answered (dedups the multi-network
   // delivery of RegroupProposeMsg so each round gets exactly one vote).
   std::unordered_map<std::uint32_t, std::uint64_t> answered_rounds_;

@@ -21,7 +21,7 @@ ProcessManager::ProcessManager(cluster::Cluster& cluster, net::NodeId node,
       params_(params) {
   on<ProbeMsg>([this](const ProbeMsg& probe, const net::Envelope& env) {
     auto reply = std::make_shared<ProbeReplyMsg>();
-    reply->probe_id = probe.probe_id;
+    reply->request_id = probe.request_id;
     reply->node = node_id();
     const auto* wd = this->cluster().daemon_at(
         {node_id(), port_of(ServiceKind::kWatchDaemon)});

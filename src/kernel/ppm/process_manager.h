@@ -25,15 +25,19 @@ namespace phoenix::kernel {
 // --- messages ---------------------------------------------------------------
 
 struct ProbeMsg final : net::Message {
+  /// The prober checks whether the node is reachable at all, not one path:
+  /// every attempt goes out on every network (cluster::RpcClient).
+  static constexpr bool kEveryNetwork = true;
+
   net::Address reply_to;
-  std::uint64_t probe_id = 0;
+  std::uint64_t request_id = 0;
 
   PHOENIX_MESSAGE_TYPE("ppm.probe")
   std::size_t wire_size() const noexcept override { return 16; }
 };
 
 struct ProbeReplyMsg final : net::Message {
-  std::uint64_t probe_id = 0;
+  std::uint64_t request_id = 0;
   net::NodeId node;
   /// ps-style liveness of the node's watch daemon and GSD, so the prober
   /// can tell "your heartbeats got lost" from "the daemon is dead".

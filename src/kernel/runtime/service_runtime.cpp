@@ -134,15 +134,6 @@ void ServiceRuntime::on_start() {
     on_takeover();
   }
   on_service_start();
-  if (params_ != nullptr && params_->service_stats_interval > 0 &&
-      directory_ != nullptr) {
-    if (stats_task_ == nullptr) {
-      stats_task_ = std::make_unique<sim::PeriodicTask>(
-          engine(), params_->service_stats_interval, [this] { publish_stats(); });
-    }
-    stats_task_->set_period(params_->service_stats_interval);
-    stats_task_->start();
-  }
   if (directory_ == nullptr) return;
   if (opts_.recover_on_start && !opts_.checkpoint_namespace.empty() &&
       params_ != nullptr) {
@@ -153,10 +144,7 @@ void ServiceRuntime::on_start() {
   }
 }
 
-void ServiceRuntime::on_stop() {
-  if (stats_task_ != nullptr) stats_task_->stop();
-  on_service_stop();
-}
+void ServiceRuntime::on_stop() { on_service_stop(); }
 
 void ServiceRuntime::announce_up() {
   if (directory_ == nullptr) return;
@@ -237,23 +225,6 @@ void ServiceRuntime::on_recovery_reply(const CheckpointLoadReplyMsg& reply) {
   // Re-seed the checkpoint immediately: a fresh instance on a new node must
   // not depend on the old node's federation entry staying reachable.
   save_state();
-}
-
-void ServiceRuntime::publish_stats() {
-  if (!alive() || directory_ == nullptr) return;
-  auto stats = std::make_shared<ServiceStatsMsg>();
-  stats->service = name();
-  stats->kind = opts_.kind;
-  stats->partition = opts_.partition;
-  stats->node = node_id();
-  stats->messages_received = counters_.messages_received;
-  stats->messages_unhandled = counters_.messages_unhandled;
-  stats->replays_served = replay_.replays_served();
-  stats->duplicates_suppressed = replay_.duplicates_suppressed();
-  stats->snapshots_saved = counters_.snapshots_saved;
-  stats->restores = counters_.restores;
-  stats->takeovers = counters_.takeovers;
-  send_any(partition_service(ServiceKind::kDataBulletin), std::move(stats));
 }
 
 }  // namespace phoenix::kernel

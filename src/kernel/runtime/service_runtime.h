@@ -17,8 +17,7 @@
 //      the recover-on-start load loop, so checkpointing and group-service
 //      failover drive every service through the same code path.
 //   4. Uniform counters — messages by type, replays, restores, takeovers —
-//      optionally published into the partition bulletin (ServiceStatsMsg)
-//      for GridView-style monitors.
+//      read through counters().
 //
 // See DESIGN.md §10 for the lifecycle diagram and a worked example of
 // adding a new service in ~30 lines.
@@ -62,25 +61,6 @@ struct RuntimeCounters {
   /// Mutating requests rejected because they carried a stale (nonzero,
   /// below-watermark) meta-group epoch — a fenced ex-Leader knocking.
   std::uint64_t fenced_rejections = 0;
-};
-
-/// Periodic per-service health row published into the partition's bulletin
-/// when FtParams::service_stats_interval > 0 (off by default).
-struct ServiceStatsMsg final : net::Message {
-  std::string service;  // daemon name, e.g. "es/0"
-  ServiceKind kind = ServiceKind::kEventService;
-  net::PartitionId partition;
-  net::NodeId node;
-  std::uint64_t messages_received = 0;
-  std::uint64_t messages_unhandled = 0;
-  std::uint64_t replays_served = 0;
-  std::uint64_t duplicates_suppressed = 0;
-  std::uint64_t snapshots_saved = 0;
-  std::uint64_t restores = 0;
-  std::uint64_t takeovers = 0;
-
-  PHOENIX_MESSAGE_TYPE("runtime.service_stats")
-  std::size_t wire_size() const noexcept override { return service.size() + 64; }
 };
 
 // Forward declaration: the generic recovery loop speaks the checkpoint wire
@@ -284,7 +264,6 @@ class ServiceRuntime : public cluster::Daemon {
 
   void attempt_recovery_load();
   void on_recovery_reply(const CheckpointLoadReplyMsg& reply);
-  void publish_stats();
 
   ServiceDirectory* directory_;
   const FtParams* params_;
@@ -317,8 +296,6 @@ class ServiceRuntime : public cluster::Daemon {
   bool ever_saved_ = false;
   bool dirty_ = false;
   bool flush_scheduled_ = false;
-
-  std::unique_ptr<sim::PeriodicTask> stats_task_;
 };
 
 }  // namespace phoenix::kernel

@@ -14,7 +14,7 @@
 //   - CallOptions / RetryPolicy: per-call deadline and retry budget, with
 //     exponential backoff between attempts and optional jitter (drawn only
 //     when a retry actually happens, so fault-free runs consume no
-//     randomness and stay bit-identical).
+//     randomness and stay bit-identical), or a fixed per-call wait.
 //   - ReplayCache: the server half of at-most-once execution. Mutating
 //     handlers register each (client, request-type, request-id) before
 //     executing and cache the reply; a retransmitted request is answered
@@ -69,11 +69,13 @@ struct CallOptions {
   /// Absolute budget for the whole call, retries included. 0 = inherit.
   sim::SimTime deadline = 0;
   /// Retransmissions allowed after the first attempt. -1 = inherit;
-  /// 0 = one-shot.
+  /// 0 = one-shot (for a request the server gives no at-most-once
+  /// guarantee for).
   int max_retries = -1;
-  /// When false the call is never retransmitted (single attempt), because
-  /// the server gives no at-most-once guarantee for it.
-  bool idempotent = true;
+  /// Fixed wait for a reply after every attempt, never jittered, so the
+  /// attempts go out at t, t + rto, t + 2·rto, ... 0 = the client's
+  /// RetryPolicy backoff.
+  sim::SimTime rto = 0;
 };
 
 /// Exponential backoff schedule: attempt n (1-based) waits

@@ -61,7 +61,7 @@ const Histogram* Registry::find_histogram(const std::string& name) const {
 }
 
 std::uint64_t Registry::register_probe(Probe probe) {
-  const std::uint64_t id = next_probe_id_++;
+  const std::uint64_t id = next_probe_key_++;
   probes_.emplace_back(id, std::move(probe));
   return id;
 }

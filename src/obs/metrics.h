@@ -123,7 +123,7 @@ class Registry {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::vector<std::pair<std::uint64_t, Probe>> probes_;
-  std::uint64_t next_probe_id_ = 1;
+  std::uint64_t next_probe_key_ = 1;
 };
 
 }  // namespace phoenix::obs

@@ -8,20 +8,16 @@
 namespace phoenix::pws {
 
 namespace {
-/// A batch goes out at t, t+2, t+4, t+6 and t+8 s and fails at the client's
-/// default 10 s deadline.
-constexpr net::RetryPolicy kBatchRetry{.initial_rto = 2 * sim::kSecond,
-                                       .multiplier = 1.0,
-                                       .max_rto = 2 * sim::kSecond,
-                                       .jitter_frac = 0.0,
-                                       .default_max_retries = 4};
+/// A batch goes out at t, t+2, t+4, t+6 and t+8 s and fails at t+10 s.
+constexpr net::CallOptions kBatchCall{
+    .deadline = 10 * sim::kSecond, .max_retries = 4, .rto = 2 * sim::kSecond};
 }  // namespace
 
 SubmissionGateway::SubmissionGateway(cluster::Cluster& cluster, net::NodeId node,
                                      GatewayConfig config)
     : Daemon(cluster, "pws.gateway", node, cluster::ports::kPwsGateway),
       config_(std::move(config)),
-      rpc_(*this, kBatchRetry),
+      rpc_(*this),
       ticker_(cluster.engine(), config_.flush_interval, [this] { flush(); }) {
   metrics_ = &cluster.metrics();
   submit_latency_us_ = metrics_->histogram("pws.gateway.submit_latency_us");
@@ -179,7 +175,7 @@ void SubmissionGateway::send_batch(std::vector<PendingItem> items) {
                                     : BatchSubmitResult{0, SubmitStatus::kUnavailable});
         }
       },
-      {}, "submit_batch");
+      kBatchCall, "submit_batch");
 }
 
 void SubmissionGateway::send_cancel_batch() {
@@ -191,7 +187,7 @@ void SubmissionGateway::send_cancel_batch() {
   // A cancel is advisory: one that never gets a reply is given up silently.
   rpc_.call<PwsCancelBatchReplyMsg>(
       std::move(batch), config_.scheduler,
-      [](net::Result<const PwsCancelBatchReplyMsg*>) {}, {}, "cancel_batch");
+      [](net::Result<const PwsCancelBatchReplyMsg*>) {}, kBatchCall, "cancel_batch");
 }
 
 void SubmissionGateway::flush() {

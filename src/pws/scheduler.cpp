@@ -11,21 +11,8 @@ using kernel::ServiceKind;
 
 namespace {
 constexpr std::size_t kNoPool = static_cast<std::size_t>(-1);
-/// Attempts of the restart's checkpoint load and bulletin reconcile, each
-/// waiting as long as one of the runtime's recovery loads.
+/// Attempts of the restart's checkpoint load and bulletin reconcile.
 constexpr int kRestartAttempts = 5;
-
-/// Spawns and authorizations are sent once; the restart's load and
-/// reconcile up to kRestartAttempts times, with the runtime recovery loop's
-/// fixed wait (2 s plus a federation fetch) before each retransmission.
-net::RetryPolicy restart_policy(const kernel::FtParams& params) {
-  const sim::SimTime wait = 2 * sim::kSecond + params.checkpoint_federation_fetch;
-  return {.initial_rto = wait,
-          .multiplier = 1.0,
-          .max_rto = wait,
-          .jitter_frac = 0.0,
-          .default_max_retries = kRestartAttempts - 1};
-}
 }  // namespace
 
 PwsScheduler::PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
@@ -39,9 +26,9 @@ PwsScheduler::PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
                              .checkpoint_key = "jobs",
                              .extension = "pws.scheduler"}),
       config_(std::move(config)),
-      rpc_(*this, restart_policy(kernel.params())),
+      rpc_(*this),
+      attempt_wait_(2 * sim::kSecond + kernel.params().checkpoint_federation_fetch),
       ticker_(cluster.engine(), config_.schedule_tick, [this] { schedule_pass(); }) {
-  rpc_.set_default_deadline(kRestartAttempts * rpc_.policy().initial_rto);
   // A gateway retry arrives 2 s (SubmissionGateway's resend interval) after its
   // batch, behind hundreds of newer batches when the gateway is backlogged:
   // keep 4x the runtime's default entries so the retry still replays.
@@ -558,6 +545,13 @@ void PwsScheduler::enforce_walltime() {
   }
 }
 
+net::CallOptions PwsScheduler::call_options(int attempts) const {
+  // No call outlives kRestartAttempts waits.
+  return {.deadline = kRestartAttempts * attempt_wait_,
+          .max_retries = attempts - 1,
+          .rto = attempt_wait_};
+}
+
 void PwsScheduler::launch(Job& job) {
   for (net::NodeId n : job.allocated) {
     auto spawn = std::make_shared<kernel::SpawnMsg>();
@@ -577,7 +571,7 @@ void PwsScheduler::launch(Job& job) {
           pid_to_job_[spawned.value->pid] = id;
           checkpoint_state();
         },
-        {.max_retries = 0}, "spawn");
+        call_options(1), "spawn");
   }
 }
 
@@ -792,7 +786,7 @@ void PwsScheduler::recover_state() {
         rebuild_after_restore();
         reconcile_with_bulletin();
       },
-      {}, "restore");
+      call_options(kRestartAttempts), "restore");
 }
 
 void PwsScheduler::rebuild_after_restore() {
@@ -868,7 +862,7 @@ void PwsScheduler::reconcile_with_bulletin() {
         if (reply) handle_reconcile_reply(*reply.value);
         announce_up();
       },
-      {}, "reconcile");
+      call_options(kRestartAttempts), "reconcile");
 }
 
 // --- message handling ------------------------------------------------------------
@@ -902,7 +896,7 @@ void PwsScheduler::handle_submit(const PwsSubmitMsg& submit) {
             net::Result<const kernel::AuthzReplyMsg*> authz_reply) {
           finish_authz(id, reply_to, caller, authz_reply);
         },
-        {.max_retries = 0}, "authorize");
+        call_options(1), "authorize");
     return;
   }
   const BatchSubmitResult result = submit_internal(submit.request, true);

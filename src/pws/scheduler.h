@@ -288,6 +288,9 @@ class PwsScheduler final : public kernel::ServiceRuntime {
                                          std::size_t limit) const;
   std::size_t borrow_nodes(std::size_t borrower, std::size_t deficit);
   void start_job(Job& job, std::vector<net::NodeId> nodes, Pool& pool);
+  /// Options of a call with `attempts` attempts (spawns and authorizations
+  /// 1, the restart's load and reconcile 5).
+  net::CallOptions call_options(int attempts) const;
   void launch(Job& job);
   void complete_process(cluster::Pid pid, net::NodeId node);
   void finish_job(Job& job, JobState final_state);
@@ -371,6 +374,9 @@ class PwsScheduler final : public kernel::ServiceRuntime {
   /// Spawns, authorizations, and the restart's checkpoint load and
   /// bulletin reconcile.
   cluster::RpcClient rpc_;
+  /// Every call waits this long for a reply after each attempt: as long as
+  /// one of the runtime's recovery loads (2 s plus a federation fetch).
+  const sim::SimTime attempt_wait_;
   sim::PeriodicTask ticker_;
   bool started_before_ = false;
 };

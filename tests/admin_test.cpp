@@ -92,6 +92,15 @@ TEST_F(AdminTest, ParallelCommandAcrossCluster) {
   EXPECT_GT(result.elapsed, 0u);
 }
 
+TEST_F(AdminTest, ParallelCommandOnNoNodesReturnsAtOnce) {
+  const sim::SimTime before = h.cluster.now();
+  const CommandResult result = console.run_command("uptime", {}, 4);
+  EXPECT_FALSE(result.timed_out);
+  EXPECT_EQ(result.succeeded, 0u);
+  EXPECT_EQ(result.failed, 0u);
+  EXPECT_EQ(h.cluster.now(), before);
+}
+
 TEST_F(AdminTest, ParallelCommandReportsDeadNodes) {
   h.injector.crash_node(h.cluster.compute_nodes(net::PartitionId{1})[2]);
   std::vector<net::NodeId> nodes;

@@ -146,18 +146,6 @@ TEST_F(ApiTest, SpawnWithExitNotification) {
   EXPECT_EQ(exited_pid, spawned.value);
 }
 
-TEST_F(ApiTest, ParallelCommandAggregates) {
-  std::vector<net::NodeId> nodes;
-  for (const auto& node : h.cluster.nodes()) nodes.push_back(node.id());
-  Result<CommandOutcome> outcome;
-  api.parallel_command("sync", nodes, 4,
-                       [&](Result<CommandOutcome> r) { outcome = std::move(r); });
-  h.run_s(10.0);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.value.succeeded, h.cluster.node_count());
-  EXPECT_EQ(outcome.value.failed, 0u);
-}
-
 TEST_F(ApiTest, UnreachableServiceFailsWithStatus) {
   // Kill the configuration service AND its host node so no attempt can even
   // be transmitted: the call must fail kUnreachable (not kTimeout — nothing
@@ -175,29 +163,18 @@ TEST_F(ApiTest, UnreachableServiceFailsWithStatus) {
 }
 
 TEST_F(ApiTest, NonIdempotentCallIsNeverRetried) {
-  // With idempotent=false the call gets exactly one attempt even though the
-  // retry budget would allow more.
+  // With max_retries=0 the call gets exactly one attempt even though the
+  // deadline would allow more.
   h.injector.drop_next_to(
       h.kernel.service_address(ServiceKind::kConfiguration, net::PartitionId{0}),
       1);
   Status status = Status::kOk;
   api.config_set("api/oneshot", "v",
                  [&](Result<std::uint64_t> r) { status = r.status; },
-                 CallOptions{.deadline = 8 * sim::kSecond, .idempotent = false});
+                 CallOptions{.deadline = 8 * sim::kSecond, .max_retries = 0});
   h.run_s(10.0);
   EXPECT_EQ(status, Status::kRetriesExhausted);
   EXPECT_EQ(api.retries_sent(), 0u);
-}
-
-TEST_F(ApiTest, EmptyParallelCommandCompletesImmediately) {
-  bool done = false;
-  api.parallel_command("noop", {}, 4, [&](Result<CommandOutcome> r) {
-    done = true;
-    EXPECT_EQ(r.status, Status::kOk);
-    EXPECT_EQ(r.value.succeeded, 0u);
-    EXPECT_EQ(r.value.failed, 0u);
-  });
-  EXPECT_TRUE(done);
 }
 
 }  // namespace

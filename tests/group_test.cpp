@@ -145,6 +145,24 @@ TEST_F(GroupServiceTest, WdRestartReplyLostStillRecovers) {
             GroupServiceDaemon::NodeStatus::kHealthy);
 }
 
+// A slow node's PPM answers the first probe attempt only during the second
+// (900 ms against a 650 ms attempt). All attempts belong to one probe, so the
+// late reply still proves the WD alive: no node failure is declared.
+TEST_F(GroupServiceTest, LateProbeReplyStillClearsSuspicion) {
+  const net::NodeId victim = h.cluster.compute_nodes(net::PartitionId{0})[1];
+  const auto& gsd = h.kernel.gsd(net::PartitionId{0});
+  h.injector.slow_node(victim, 900 * sim::kMillisecond);
+  const sim::SimTime give_up = h.cluster.now() + 10 * sim::kSecond;
+  while (gsd.node_status(victim) != GroupServiceDaemon::NodeStatus::kSuspect) {
+    ASSERT_LT(h.cluster.now(), give_up);
+    ASSERT_TRUE(h.cluster.engine().step());
+  }
+  h.run_s(10.0);
+
+  EXPECT_FALSE(h.kernel.fault_log().last("WD", FaultKind::kNodeFailure).has_value());
+  EXPECT_EQ(gsd.node_status(victim), GroupServiceDaemon::NodeStatus::kHealthy);
+}
+
 TEST_F(GroupServiceTest, NodeFailureDiagnosedNoMigrationForComputeNode) {
   const net::NodeId victim = h.cluster.compute_nodes(net::PartitionId{0})[0];
   h.injector.crash_node(victim);
@@ -301,6 +319,29 @@ TEST_F(GroupServiceTest, GsdNetworkFailureDetectedByRingSuccessor) {
   EXPECT_TRUE(gsd->node == server || gsd->node == peer_server);
   EXPECT_EQ(gsd->network, net::NetworkId{2});
   EXPECT_EQ(gsd->recovered_at, gsd->diagnosed_at);
+}
+
+// Partition 1's server is 400 ms slow: its ring heartbeat reaches partition
+// 0 late enough to start the predecessor probe but inside the 280 ms probe
+// window, while the slowed probe reply misses it. The heartbeat voids the
+// probe, so partition 1 is neither diagnosed nor removed.
+TEST_F(GroupServiceTest, RingHeartbeatDuringProbeVoidsIt) {
+  const auto& gsd = h.kernel.gsd(net::PartitionId{0});
+  int probes = 0;
+  h.cluster.fabric().set_drop_filter(
+      [&](const net::Address& from, const net::Address&, const net::Message& m) {
+        if (from == gsd.address() && m.type_id() == ProbeMsg::static_type_id()) {
+          ++probes;
+        }
+        return false;
+      });
+  h.injector.slow_node(h.cluster.server_node(net::PartitionId{1}),
+                       400 * sim::kMillisecond);
+  h.run_s(10.0);
+
+  EXPECT_GT(probes, 0);
+  EXPECT_FALSE(h.kernel.fault_log().last("GSD").has_value());
+  EXPECT_TRUE(gsd.view().contains(net::PartitionId{1}));
 }
 
 TEST_F(GroupServiceTest, ApplyingTheCurrentViewIsANoOp) {

@@ -30,12 +30,12 @@ class PpmTest : public ::testing::Test {
 TEST_F(PpmTest, ProbeAnswersOnSameNetwork) {
   auto probe = std::make_shared<ProbeMsg>();
   probe->reply_to = client.address();
-  probe->probe_id = 77;
+  probe->request_id = 77;
   client.send(ppm_addr(2), net::NetworkId{1}, probe);
   h.cluster.engine().run_for(sim::kSecond);
   const auto* reply = client.last_of_type<ProbeReplyMsg>();
   ASSERT_NE(reply, nullptr);
-  EXPECT_EQ(reply->probe_id, 77u);
+  EXPECT_EQ(reply->request_id, 77u);
   EXPECT_EQ(reply->node.value, 2u);
 }
 

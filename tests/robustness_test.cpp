@@ -54,7 +54,7 @@ TEST(RobustnessTest, StaleRepliesIgnored) {
 
   // Forge replies with request ids nobody issued.
   auto forged_probe = std::make_shared<kernel::ProbeReplyMsg>();
-  forged_probe->probe_id = 0xdeadbeef;
+  forged_probe->request_id = 0xdeadbeef;
   fuzzer.send_any(h.kernel.gsd(net::PartitionId{0}).address(), forged_probe);
 
   auto forged_load = std::make_shared<kernel::CheckpointLoadReplyMsg>();

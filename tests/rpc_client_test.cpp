@@ -1,6 +1,7 @@
 // RpcClient tests (DESIGN.md §9): replies complete a call exactly once,
-// unanswered calls retry until their budget is spent, and a dead owner's
-// pending calls fail without sending or drawing randomness.
+// unanswered calls retry until their budget is spent, a fixed per-call wait
+// replaces the jittered backoff, a request can go out on every network, and
+// a dead owner's pending calls fail without sending or drawing randomness.
 #include "cluster/rpc_client.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "kernel/ppm/process_manager.h"
 #include "kernel_fixture.h"
 
 namespace phoenix::cluster {
@@ -118,6 +120,73 @@ TEST_F(RpcClientTest, UnansweredCallRetriesThenExhausts) {
   EXPECT_EQ(caller.rpc.retries_sent(), 2u);
   EXPECT_EQ(caller.rpc.exhausted_calls(), 1u);
   EXPECT_EQ(caller.last_ping->attempt, 3u);  // stamped into each attempt
+}
+
+TEST_F(RpcClientTest, FixedRtoResendsOnScheduleWithoutDrawing) {
+  ASSERT_GT(caller.rpc.policy().jitter_frac, 0.0);
+  // Each attempt is recorded and dropped on the wire, before the fabric
+  // draws its latency, so any draw would be the client's jitter.
+  std::vector<sim::SimTime> sent;
+  cluster.fabric().set_drop_filter(
+      [&](const net::Address& from, const net::Address&, const net::Message&) {
+        if (from != caller.address()) return false;
+        sent.push_back(cluster.now());
+        return true;
+      });
+  const sim::SimTime rto = 500 * sim::kMillisecond;
+  const sim::SimTime t = cluster.now();
+  const sim::Rng before = cluster.engine().rng();
+  caller.ping(nobody(), {.deadline = 3 * rto, .max_retries = 2, .rto = rto});
+  cluster.engine().run_until(t + 3 * rto - 1);
+  EXPECT_TRUE(caller.done.empty());
+  run_s(5.0);
+
+  EXPECT_EQ(sent, (std::vector<sim::SimTime>{t, t + rto, t + 2 * rto}));
+  ASSERT_EQ(caller.done.size(), 1u);
+  EXPECT_EQ(caller.done[0], Status::kTimeout);
+  sim::Rng untouched = before;
+  EXPECT_EQ(cluster.engine().rng().next(), untouched.next());
+}
+
+// The PPM liveness probe asks for every network: each attempt goes out once
+// per network, so the probe still gets through with two interfaces cut.
+TEST(RpcClientEveryNetworkTest, ProbeGoesOutOncePerNetworkPerAttempt) {
+  phoenix::testing::KernelHarness h(phoenix::testing::small_cluster_spec(),
+                                    phoenix::testing::fast_ft_params());
+  Caller caller(h.cluster, h.cluster.compute_nodes(net::PartitionId{0})[0]);
+  const net::NodeId target = h.cluster.compute_nodes(net::PartitionId{1})[0];
+  const net::Address ppm{target, kernel::port_of(kernel::ServiceKind::kProcessManager)};
+  std::vector<Status> done;
+  auto probe = [&] {
+    auto msg = std::make_shared<kernel::ProbeMsg>();
+    msg->reply_to = caller.address();
+    caller.rpc.call<kernel::ProbeReplyMsg>(
+        std::move(msg), ppm,
+        [&](net::Result<const kernel::ProbeReplyMsg*> r) { done.push_back(r.status); },
+        {.deadline = 2 * sim::kSecond, .max_retries = 1, .rto = sim::kSecond});
+  };
+
+  // Every copy dropped on the wire: two attempts of three copies each.
+  int copies = 0;
+  h.cluster.fabric().set_drop_filter(
+      [&](const net::Address& from, const net::Address&, const net::Message&) {
+        if (from != caller.address()) return false;
+        ++copies;
+        return true;
+      });
+  probe();
+  h.run_s(3.0);
+  EXPECT_EQ(copies, 2 * 3);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0], Status::kTimeout);
+
+  h.injector.clear_message_drops();
+  h.injector.cut_interface(target, net::NetworkId{0});
+  h.injector.cut_interface(target, net::NetworkId{1});
+  probe();
+  h.run_s(3.0);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[1], Status::kOk);
 }
 
 TEST_F(RpcClientTest, DeadOwnerFailsPendingCallWithoutSendingOrDrawing) {

@@ -233,39 +233,6 @@ TEST(RuntimeLifecycleTest, MigrationMarksTakeoverAndRestoresState) {
   EXPECT_EQ(fresh.subscription_count(), 1u);
 }
 
-// --- per-service stats published into the bulletin ----------------------------
-
-TEST(RuntimeStatsTest, StatsRowsReachBulletinAndApi) {
-  auto params = fast_ft_params();
-  params.service_stats_interval = 1 * sim::kSecond;
-  KernelHarness h(small_cluster_spec(), params);
-  h.run_s(3.5);
-
-  const auto rows = h.kernel.bulletin(net::PartitionId{0}).service_stats();
-  ASSERT_FALSE(rows.empty());
-  bool saw_es = false;
-  for (const auto& rec : rows) {
-    if (rec.row.kind == ServiceKind::kEventService) {
-      saw_es = true;
-      EXPECT_GT(rec.row.messages_received, 0u);
-      EXPECT_EQ(rec.row.partition, net::PartitionId{0});
-    }
-  }
-  EXPECT_TRUE(saw_es);
-
-  // The same rows through the uniform client interface.
-  KernelApi api(h.cluster, h.cluster.compute_nodes(net::PartitionId{0})[0],
-                h.kernel);
-  bool done = false;
-  api.service_stats([&](net::Result<std::vector<ServiceStatsRecord>> r) {
-    done = true;
-    EXPECT_EQ(r.status, net::Status::kOk);
-    EXPECT_FALSE(r.value.empty());
-  });
-  h.run_s(1.0);
-  EXPECT_TRUE(done);
-}
-
 // --- one coalescing policy: mark_dirty(window) --------------------------------
 
 // snapshot() runs once per checkpoint save, so the probe records when each
