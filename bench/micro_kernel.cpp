@@ -1,12 +1,17 @@
 // Micro-benchmarks of the kernel primitives behind Figures 3-5: meta-group
 // view operations, event publish -> delivery, data-bulletin ingest/query,
-// checkpoint save/load, and the discrete-event engine itself. These measure
-// the implementation's real CPU cost (google-benchmark), complementing the
-// simulated-time experiments in the table benches.
+// checkpoint save/load, PWS checkpoint encoding, and the discrete-event
+// engine itself. These measure the implementation's real CPU cost
+// (google-benchmark), complementing the simulated-time experiments in the
+// table benches.
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <string>
 
 #include "faults/fault_injector.h"
 #include "kernel/kernel.h"
+#include "pws/job.h"
 
 using namespace phoenix;
 
@@ -143,6 +148,50 @@ void BM_MetaViewSerialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MetaViewSerialize)->Arg(8)->Arg(40)->Arg(128);
+
+// One PWS checkpoint of a job table of range(0) rows, 170 of which changed
+// since the previous one (pws_flash's shape after its scheduler kill): a
+// window of consecutive ids moves through the table, as a draining FIFO
+// backlog does. range(1) == 0 re-encodes the whole table (serialize_jobs),
+// 1 only the blocks holding a changed row (pws::JobRows).
+void BM_PwsSnapshot(benchmark::State& state) {
+  const auto rows = static_cast<pws::JobId>(state.range(0));
+  const bool incremental = state.range(1) != 0;
+  std::map<pws::JobId, pws::Job> jobs;
+  for (pws::JobId id = 1; id <= rows; ++id) {
+    pws::Job& job = jobs[id];
+    job.name = "j" + std::to_string(id);
+    job.user = "tenant" + std::to_string(id % 997);
+    job.pool = "batch";
+    job.duration = 30 * sim::kSecond;
+    job.submitted_at = id * sim::kMillisecond;
+  }
+  pws::JobRows encoder;
+  encoder.encode(jobs);
+  pws::JobId next = 1;
+  sim::SimTime clock = 0;
+  for (auto _ : state) {
+    ++clock;
+    for (int i = 0; i < 170; ++i) {
+      pws::Job& job = jobs[next];
+      job.state = job.state == pws::JobState::kQueued ? pws::JobState::kRunning
+                                                     : pws::JobState::kQueued;
+      job.started_at = clock;
+      encoder.changed(next);
+      next = next % rows + 1;
+    }
+    const std::string data =
+        incremental ? encoder.encode(jobs) : pws::serialize_jobs(jobs);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  if (encoder.encode(jobs) != pws::serialize_jobs(jobs)) {
+    state.SkipWithError("JobRows::encode differs from serialize_jobs");
+  }
+}
+BENCHMARK(BM_PwsSnapshot)
+    ->ArgsProduct({{1000, 10000, 30000}, {0, 1}})
+    ->ArgNames({"rows", "incremental"});
 
 void BM_FaultDetectionCycle(benchmark::State& state) {
   // Real CPU cost of a full WD-kill detect/diagnose/recover cycle at 1 s

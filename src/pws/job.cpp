@@ -1,5 +1,6 @@
 #include "pws/job.h"
 
+#include <algorithm>
 #include <charconv>
 #include <limits>
 #include <sstream>
@@ -29,6 +30,7 @@ std::string_view to_string(SubmitStatus status) noexcept {
     case SubmitStatus::kAuthDenied: return "auth-denied";
     case SubmitStatus::kCancelled: return "cancelled";
     case SubmitStatus::kUnavailable: return "unavailable";
+    case SubmitStatus::kMalformed: return "malformed";
   }
   return "?";
 }
@@ -42,12 +44,8 @@ void append_number(std::string& out, Number value) {
   out.append(digits, result.ptr);
 }
 
-}  // namespace
-
-std::string serialize_jobs(const std::map<JobId, Job>& jobs) {
-  std::string out;
-  // Room for a typical line; longer names and node lists grow it.
-  out.reserve(96 * jobs.size());
+/// Appends the row of job `id`, newline included.
+void append_row(std::string& out, JobId id, const Job& job) {
   const auto number = [&out](auto value) {
     append_number(out, value);
     out += '|';
@@ -56,39 +54,82 @@ std::string serialize_jobs(const std::map<JobId, Job>& jobs) {
     out += value;
     out += '|';
   };
-  for (const auto& [id, job] : jobs) {
-    number(id);
-    text(job.name);
-    text(job.user);
-    text(job.pool);
-    number(job.nodes_needed);
-    number(job.duration);
-    number(static_cast<int>(job.state));
-    number(job.submitted_at);
-    number(job.started_at);
-    number(job.finished_at);
-    number(job.exited);
-    number(job.requeues);
-    number(job.priority);
-    number(job.walltime_limit);
-    text(job.arch);
-    number(job.after_ok);
-    for (std::size_t i = 0; i < job.allocated.size(); ++i) {
-      if (i > 0) out += ',';
-      append_number(out, job.allocated[i].value);
-    }
-    out += '|';
-    bool first = true;
-    for (const auto& [node, pid] : job.pids) {
-      if (!first) out += ',';
-      first = false;
-      append_number(out, node);
-      out += '=';
-      append_number(out, pid);
-    }
-    out += '\n';
+  number(id);
+  text(job.name);
+  text(job.user);
+  text(job.pool);
+  number(job.nodes_needed);
+  number(job.duration);
+  number(static_cast<int>(job.state));
+  number(job.submitted_at);
+  number(job.started_at);
+  number(job.finished_at);
+  number(job.exited);
+  number(job.requeues);
+  number(job.priority);
+  number(job.walltime_limit);
+  text(job.arch);
+  number(job.after_ok);
+  for (std::size_t i = 0; i < job.allocated.size(); ++i) {
+    if (i > 0) out += ',';
+    append_number(out, job.allocated[i].value);
   }
+  out += '|';
+  bool first = true;
+  for (const auto& [node, pid] : job.pids) {
+    if (!first) out += ',';
+    first = false;
+    append_number(out, node);
+    out += '=';
+    append_number(out, pid);
+  }
+  out += '\n';
+}
+
+}  // namespace
+
+std::string serialize_jobs(const std::map<JobId, Job>& jobs) {
+  std::string out;
+  // Room for a typical line; longer names and node lists grow it.
+  out.reserve(96 * jobs.size());
+  for (const auto& [id, job] : jobs) append_row(out, id, job);
   return out;
+}
+
+std::string JobRows::encode(const std::map<JobId, Job>& jobs) {
+  if (rebuild_) {
+    for (const auto& [id, job] : jobs) changed(id);
+    rebuild_ = false;
+  }
+  std::sort(dirty_.begin(), dirty_.end());
+  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
+  for (const JobId block : dirty_) {
+    std::string& rows = blocks_[block];
+    rows.clear();
+    // Bounded by the block index: the last block's end, (block + 1) *
+    // kBlockJobs, would wrap to 0.
+    for (auto it = jobs.lower_bound(block * kBlockJobs);
+         it != jobs.end() && it->first / kBlockJobs == block; ++it) {
+      append_row(rows, it->first, it->second);
+    }
+    if (rows.empty()) blocks_.erase(block);
+  }
+  dirty_.clear();
+
+  std::size_t size = 0;
+  for (const auto& [block, rows] : blocks_) size += rows.size();
+  std::string out;
+  out.reserve(size);
+  for (const auto& [block, rows] : blocks_) out += rows;
+  return out;
+}
+
+bool fits_job_row(const SubmitRequest& request) noexcept {
+  for (const std::string* field :
+       {&request.name, &request.user, &request.pool, &request.arch}) {
+    if (field->find_first_of("|\n") != std::string::npos) return false;
+  }
+  return true;
 }
 
 std::map<JobId, Job> deserialize_jobs(const std::string& data) {

@@ -38,6 +38,7 @@ enum class SubmitStatus : std::uint8_t {
   kAuthDenied,       // security service refused
   kCancelled,        // absorbed by the gateway before ever being sent
   kUnavailable,      // gateway retry budget exhausted, outcome unknown
+  kMalformed,        // a text field would not survive a checkpoint
 };
 
 std::string_view to_string(SubmitStatus status) noexcept;
@@ -95,5 +96,38 @@ struct Job {
 /// One line per job; used for the scheduler's checkpoint state.
 std::string serialize_jobs(const std::map<JobId, Job>& jobs);
 std::map<JobId, Job> deserialize_jobs(const std::string& data);
+
+/// True when every text field of `request` survives a serialize_jobs and
+/// deserialize_jobs round trip: the fields are written raw, and parsing
+/// splits on '|' and '\n'.
+bool fits_job_row(const SubmitRequest& request) noexcept;
+
+/// serialize_jobs that re-encodes only what changed. The rows are kept in
+/// blocks of kBlockJobs consecutive job ids, and encode() re-encodes only the
+/// blocks holding an id passed to changed() since the previous encode().
+/// encode(jobs) == serialize_jobs(jobs) byte for byte, provided that every
+/// insert, erase and write to a serialized field of `jobs` is reported
+/// through changed(), and that reset() follows a wholesale replacement.
+class JobRows {
+ public:
+  static constexpr JobId kBlockJobs = 64;
+
+  void changed(JobId id) {
+    const JobId block = id / kBlockJobs;
+    if (dirty_.empty() || dirty_.back() != block) dirty_.push_back(block);
+  }
+  /// The next encode() re-encodes every row.
+  void reset() {
+    blocks_.clear();
+    dirty_.clear();
+    rebuild_ = true;
+  }
+  std::string encode(const std::map<JobId, Job>& jobs);
+
+ private:
+  std::map<JobId, std::string> blocks_;  // block index -> its rows, encoded
+  std::vector<JobId> dirty_;             // block indexes, in no order
+  bool rebuild_ = true;
+};
 
 }  // namespace phoenix::pws

@@ -185,6 +185,9 @@ bool PwsScheduler::admit_tenant(net::SymbolId user) {
 
 BatchSubmitResult PwsScheduler::submit_internal(const SubmitRequest& request,
                                                 bool checkpoint_each) {
+  // A job the checkpoint cannot carry would be acknowledged, then lost by
+  // the next restore.
+  if (!fits_job_row(request)) return {0, SubmitStatus::kMalformed};
   const auto user_sym = net::intern_symbol(request.user);
   if (!admit_tenant(user_sym)) {
     ++stats_.admission_denied;
@@ -214,6 +217,7 @@ BatchSubmitResult PwsScheduler::submit_internal(const SubmitRequest& request,
     job.state = JobState::kRejected;
     ++stats_.rejected;
     jobs_.emplace(id, std::move(job));
+    rows_.changed(id);
     retire_if_unretained(id);
     return {id, SubmitStatus::kUnknownPool};
   }
@@ -225,6 +229,7 @@ BatchSubmitResult PwsScheduler::submit_internal(const SubmitRequest& request,
   }
   pools_[pool_index].enqueue(job, usage_of_sym(user_sym));
   jobs_.emplace(id, std::move(job));
+  rows_.changed(id);
   ++queued_jobs_;
   ++stats_.submitted;
   if (metrics_->enabled()) submitted_ctr_->inc();
@@ -250,6 +255,7 @@ bool PwsScheduler::cancel(JobId id) {
     }
     job.state = JobState::kCancelled;
     job.finished_at = now();
+    rows_.changed(id);
     ++stats_.cancelled;
     if (metrics_->enabled()) cancelled_ctr_->inc();
     wake_dependents(id);
@@ -427,6 +433,7 @@ void PwsScheduler::scan_pool(std::size_t pool_index) {
       if (dep_dead) {
         job.state = JobState::kCancelled;
         job.finished_at = now();
+        rows_.changed(job.id);
         --queued_jobs_;
         ++stats_.cancelled;
         if (metrics_->enabled()) cancelled_ctr_->inc();
@@ -481,6 +488,7 @@ void PwsScheduler::scan_pool(std::size_t pool_index) {
 
 void PwsScheduler::start_job(Job& job, std::vector<net::NodeId> nodes,
                              Pool& pool) {
+  rows_.changed(job.id);
   job.allocated = std::move(nodes);
   // A duplicate pending entry (post-recovery) can re-start a job that is
   // already running — keep the counters exact even then.
@@ -568,6 +576,7 @@ void PwsScheduler::launch(Job& job) {
           auto job_it = jobs_.find(id);
           if (job_it == jobs_.end()) return;
           job_it->second.pids[n.value] = spawned.value->pid;
+          rows_.changed(id);
           pid_to_job_[spawned.value->pid] = id;
           checkpoint_state();
         },
@@ -586,6 +595,7 @@ void PwsScheduler::complete_process(cluster::Pid pid, net::NodeId node) {
   Job& job = job_it->second;
   if (job.state != JobState::kRunning) return;
   ++job.exited;
+  rows_.changed(job_id);
   usage_[job.user_sym.value] += sim::to_seconds(job.duration);
   // Fair-share ordering keys drift with usage; re-rank those pools' queues.
   for (std::size_t i = 0; i < pools_.size(); ++i) {
@@ -620,6 +630,7 @@ void PwsScheduler::finish_job(Job& job, JobState final_state) {
   }
   job.state = final_state;
   job.finished_at = now();
+  rows_.changed(job.id);
   if (final_state == JobState::kCompleted) ++stats_.completed;
   if (final_state == JobState::kFailed) ++stats_.failed;
   const JobId id = job.id;
@@ -677,7 +688,10 @@ void PwsScheduler::wake_dependents(JobId id) {
     // With terminal jobs retired from the table, the scan could no longer
     // tell "dependency completed then vanished" from "never existed" — so
     // release the gate here, before the dependency is retired.
-    if (completed && !config_.retain_terminal_jobs) dependent.after_ok = 0;
+    if (completed && !config_.retain_terminal_jobs) {
+      dependent.after_ok = 0;
+      rows_.changed(waiter);
+    }
     const std::size_t pool_index = pool_index_of(dependent.pool_sym);
     if (pool_index != kNoPool) mark_pool_dirty(pool_index);
   }
@@ -689,6 +703,7 @@ void PwsScheduler::retire_if_unretained(JobId id) {
   if (it == jobs_.end() || !it->second.terminal()) return;
   dependents_.erase(id);
   jobs_.erase(it);
+  rows_.changed(id);
 }
 
 void PwsScheduler::handle_node_failed(net::NodeId node) {
@@ -731,6 +746,7 @@ void PwsScheduler::handle_node_failed(net::NodeId node) {
 }
 
 void PwsScheduler::requeue_or_fail(Job& job) {
+  rows_.changed(job.id);
   job.allocated.clear();
   job.pids.clear();
   job.exited = 0;
@@ -783,6 +799,7 @@ void PwsScheduler::recover_state() {
           return;
         }
         jobs_ = deserialize_jobs(loaded.value->data.str());
+        rows_.reset();
         rebuild_after_restore();
         reconcile_with_bulletin();
       },
@@ -868,7 +885,9 @@ void PwsScheduler::reconcile_with_bulletin() {
 // --- message handling ------------------------------------------------------------
 
 void PwsScheduler::handle_submit(const PwsSubmitMsg& submit) {
-  if (config_.use_security) {
+  // submit_internal refuses a request the checkpoint cannot carry before it
+  // is ever authorized.
+  if (config_.use_security && fits_job_row(submit.request)) {
     Job job;
     job.id = next_job_id_++;
     job.name = submit.request.name.empty() ? "job" + std::to_string(job.id)
@@ -883,6 +902,7 @@ void PwsScheduler::handle_submit(const PwsSubmitMsg& submit) {
     job.pool_sym = net::intern_symbol(job.pool);
     const JobId id = job.id;
     jobs_.emplace(id, std::move(job));
+    rows_.changed(id);
 
     auto authz = std::make_shared<kernel::AuthzRequestMsg>();
     authz->token = submit.token;
@@ -945,6 +965,7 @@ void PwsScheduler::finish_authz(JobId id, net::Address reply_to,
     if (metrics_->enabled()) submitted_ctr_->inc();
     accepted = true;
   }
+  rows_.changed(job_id);  // every branch wrote the job's state
   checkpoint_state();
   if (reply_to.valid()) {
     auto reply = std::make_shared<PwsSubmitReplyMsg>();

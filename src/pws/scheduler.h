@@ -187,11 +187,12 @@ struct PwsConfig {
 
   /// Checkpoint coalescing window for the batched path. 0 (default) keeps
   /// the historical save-per-change wire behaviour. >0 bounds checkpoint
-  /// traffic to one leading save plus one trailing flush per window —
-  /// bounded-staleness durability: a crash loses at most this much recent
-  /// state, which the gateway's batch retries re-cover. A non-zero window
-  /// also coalesces the completion-prompted scheduling passes (one pending
-  /// pass at a time instead of one per finished job).
+  /// traffic to one leading save plus one trailing flush per window, and a
+  /// crash loses the changes of the last window, jobs acknowledged inside it
+  /// included: the gateway completes an item on its reply and never resends
+  /// an acknowledged job (ROADMAP item 5: acknowledge only saved jobs). A
+  /// non-zero window also coalesces the completion-prompted scheduling
+  /// passes (one pending pass at a time instead of one per finished job).
   sim::SimTime checkpoint_interval = 0;
 
   /// When false, terminal jobs are retired from the job table once their
@@ -260,7 +261,7 @@ class PwsScheduler final : public kernel::ServiceRuntime {
   void on_service_stop() override;
   /// A replacement created by migration restores like an in-place restart.
   void on_takeover() override { started_before_ = true; }
-  std::string snapshot() const override { return serialize_jobs(jobs_); }
+  std::string snapshot() const override { return rows_.encode(jobs_); }
 
   // request handlers
   void handle_submit(const PwsSubmitMsg& submit);
@@ -331,6 +332,9 @@ class PwsScheduler final : public kernel::ServiceRuntime {
   std::map<std::uint32_t, NodeSlot> slots_;
 
   std::map<JobId, Job> jobs_;
+  /// snapshot()'s encoder: every write to a serialized field of jobs_, and
+  /// every insert and erase, reports the job's id to it.
+  mutable JobRows rows_;
   std::set<JobId> running_ids_;  // ordered: shadow_time scans deterministically
   std::unordered_map<std::uint32_t, double> usage_;  // user SymbolId ->
   PwsStats stats_;

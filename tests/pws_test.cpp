@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <random>
+#include <tuple>
 
 #include "kernel/bulletin/data_bulletin.h"
 #include "kernel/checkpoint/checkpoint_msgs.h"
@@ -465,6 +467,85 @@ TEST(PwsHaTest, SchedulerSurvivesHostNodeCrash) {
   EXPECT_NE(fresh.job(queued), nullptr);
 }
 
+// deserialize_jobs splits a checkpoint on '|' and '\n', so a job whose text
+// fields held one used to be acknowledged, then dropped by the restore.
+// Such a submission is refused with no job id, on the per-job and the
+// batched path and with and without authorization, and every acknowledged
+// job survives a scheduler restart.
+TEST(PwsHaTest, SeparatorInTextFieldRefusedNotLostOnRestore) {
+  for (const bool secure : {false, true}) {
+    SCOPED_TRACE(secure ? "with security" : "without security");
+    KernelHarness h(small_cluster_spec(), fast_ft_params());
+    auto config = one_pool_config(h.cluster);
+    config.use_security = secure;
+    PwsSystem pws(h.kernel, config);
+    auto& security = h.kernel.security();
+    for (const char* user : {"alice", "bob\nx", "carol"}) {
+      security.add_user(user, "pw", {"scientist"});
+    }
+    security.grant("scientist", "job.submit", "pool/batch");
+    h.run_s(1.0);
+
+    SubmitRequest piped = req("alice", 1, 600.0);
+    piped.name = "render|final";
+    const SubmitRequest broken = req("bob\nx", 1, 600.0);
+    const SubmitRequest plain = req("carol", 1, 600.0);
+    TestClient client(h.cluster, net::NodeId{3});
+    std::uint64_t request_id = 0;
+    for (const SubmitRequest& request : {piped, broken, plain}) {
+      auto msg = std::make_shared<PwsSubmitMsg>();
+      msg->request = request;
+      msg->token = *security.authenticate(request.user, "pw");
+      msg->reply_to = client.address();
+      msg->request_id = ++request_id;
+      client.send_any(pws.scheduler().address(), msg);
+    }
+    auto batch = std::make_shared<PwsSubmitBatchMsg>();
+    batch->requests = {piped, broken, plain};
+    batch->reply_to = client.address();
+    batch->request_id = ++request_id;
+    client.send_any(pws.scheduler().address(), batch);
+    h.run_s(3.0);
+
+    std::vector<JobId> acknowledged;
+    const auto replies = client.of_type<PwsSubmitReplyMsg>();
+    ASSERT_EQ(replies.size(), 3u);
+    for (const auto* reply : replies) {
+      EXPECT_EQ(reply->accepted, reply->request_id == 3)
+          << "request " << reply->request_id;
+      if (reply->accepted) {
+        acknowledged.push_back(reply->job_id);
+      } else {
+        EXPECT_EQ(reply->job_id, 0u);
+        EXPECT_EQ(reply->reason, to_string(SubmitStatus::kMalformed));
+      }
+    }
+    const auto* batch_reply = client.last_of_type<PwsSubmitBatchReplyMsg>();
+    ASSERT_NE(batch_reply, nullptr);
+    ASSERT_EQ(batch_reply->results.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+      const BatchSubmitResult& result = batch_reply->results[i];
+      EXPECT_EQ(result.status,
+                i == 2 ? SubmitStatus::kAccepted : SubmitStatus::kMalformed)
+          << "batch item " << i;
+      if (result.status == SubmitStatus::kAccepted) {
+        acknowledged.push_back(result.job_id);
+      } else {
+        EXPECT_EQ(result.job_id, 0u);
+      }
+    }
+
+    h.injector.kill_daemon(pws.scheduler());
+    h.run_s(15.0);
+    ASSERT_TRUE(pws.scheduler().alive());
+    for (const JobId id : acknowledged) {
+      EXPECT_NE(pws.scheduler().job(id), nullptr)
+          << "job " << id << " acknowledged, then lost";
+    }
+    EXPECT_EQ(pws.scheduler().jobs().size(), acknowledged.size());
+  }
+}
+
 TEST(PwsSerializationTest, JobsRoundTrip) {
   std::map<JobId, Job> jobs;
   Job j;
@@ -554,6 +635,87 @@ TEST(PwsSerializationTest, OutOfRangeFieldsSkipped) {
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed.begin()->first, 1u);
   EXPECT_EQ(parsed.at(1).state, JobState::kQueued);
+}
+
+// JobRows against its reference: random inserts, field edits, erases and
+// wholesale replacements (a restore, followed by reset()) over sparse ids
+// around block boundaries, 0 and UINT64_MAX included, compared with
+// serialize_jobs after every batch of changes.
+TEST(PwsSerializationTest, JobRowsEncodeEqualsSerializeJobs) {
+  constexpr JobId kMax = std::numeric_limits<JobId>::max();
+  constexpr JobId kBlock = JobRows::kBlockJobs;
+  // Three blocks from each base: both ends of the id space and two between.
+  const std::vector<JobId> bases = {0, 5 * kBlock, JobId{1} << 32,
+                                    kMax - 3 * kBlock + 1};
+  std::mt19937_64 rng(7);
+  const auto below = [&rng](std::uint64_t n) {
+    return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(rng);
+  };
+  const auto random_id = [&] { return bases[below(bases.size())] + below(3 * kBlock); };
+  const auto random_job = [&](JobId id) {
+    Job job;
+    job.id = id;
+    job.name = "j" + std::to_string(below(1000));
+    job.user = "u" + std::to_string(below(10));
+    job.pool = "batch";
+    job.nodes_needed = 1 + static_cast<unsigned>(below(4));
+    job.state = static_cast<JobState>(below(8));
+    job.submitted_at = below(1'000'000);
+    return job;
+  };
+  const auto random_table = [&] {
+    std::map<JobId, Job> table;
+    for (int i = 0; i < 40; ++i) {
+      const JobId id = random_id();
+      table[id] = random_job(id);
+    }
+    table[0] = random_job(0);
+    table[kMax] = random_job(kMax);
+    return table;
+  };
+
+  std::map<JobId, Job> jobs = random_table();
+  JobRows rows;
+  ASSERT_EQ(rows.encode(jobs), serialize_jobs(jobs));
+  for (int batch = 0; batch < 300; ++batch) {
+    if (below(16) == 0) {
+      jobs = random_table();
+      rows.reset();
+    }
+    const auto changes = below(12);  // 0: an encode with nothing changed
+    for (std::uint64_t c = 0; c < changes; ++c) {
+      const auto op = below(3);
+      if (op == 0 || jobs.empty()) {
+        const JobId id = random_id();
+        jobs[id] = random_job(id);
+        rows.changed(id);
+        continue;
+      }
+      auto it =
+          std::next(jobs.begin(), static_cast<std::ptrdiff_t>(below(jobs.size())));
+      const JobId id = it->first;
+      if (op == 1) {
+        jobs.erase(it);
+      } else {
+        Job& job = it->second;
+        const auto node = static_cast<std::uint32_t>(below(64));
+        switch (below(5)) {
+          case 0: job.state = static_cast<JobState>(below(8)); break;
+          case 1: ++job.exited; break;
+          case 2: job.allocated.push_back(net::NodeId{node}); break;
+          case 3: job.pids[node] = below(100'000); break;
+          default: job.name += "x"; break;
+        }
+      }
+      rows.changed(id);
+    }
+    ASSERT_EQ(rows.encode(jobs), serialize_jobs(jobs)) << "batch " << batch;
+  }
+  for (auto it = jobs.begin(); it != jobs.end();) {
+    rows.changed(it->first);
+    it = jobs.erase(it);
+  }
+  EXPECT_EQ(rows.encode(jobs), "");
 }
 
 // Scheduling passes, driven one at a time: nothing between submit() and
@@ -652,6 +814,158 @@ TEST_F(PwsScanTest, DeadDependentsDroppedInOnePassOthersKeepOrder) {
   EXPECT_EQ(state(dep2), JobState::kCancelled);
   EXPECT_EQ(pending(), (std::vector<JobId>{blocked, slow1, slow2}));
 }
+
+// Every checkpoint the scheduler sends equals serialize_jobs of its job
+// table at send time. Each step runs some of the scheduler's writes to the
+// table on a job that starts a fresh JobRows block, with a save (every
+// 100 ms tick saves) before anything else touches that block, so a write
+// that does not report its job to the encoder leaves a stale row behind.
+// Parameters: checkpoint_interval, retain_terminal_jobs.
+class PwsCheckpointTest
+    : public ::testing::TestWithParam<std::tuple<sim::SimTime, bool>> {};
+
+TEST_P(PwsCheckpointTest, EverySaveEqualsSerializeJobs) {
+  const auto [interval, retain] = GetParam();
+  KernelHarness h(small_cluster_spec(), fast_ft_params());
+  auto config = one_pool_config(h.cluster);
+  config.use_security = true;
+  config.checkpoint_interval = interval;
+  config.retain_terminal_jobs = retain;
+  config.schedule_tick = 100 * sim::kMillisecond;
+  PwsSystem pws(h.kernel, config);
+  auto& security = h.kernel.security();
+  security.add_user("alice", "pw", {"scientist"});
+  security.grant("scientist", "job.submit", "pool/batch");
+  security.add_user("mallory", "pw", {"guest"});
+  h.run_s(1.0);
+
+  std::size_t saves = 0;
+  std::size_t mismatches = 0;
+  bool lose_authz_reply = false;
+  h.cluster.fabric().set_drop_filter(
+      [&](const net::Address& from, const net::Address&, const net::Message& m) {
+        if (lose_authz_reply &&
+            m.type_id() == kernel::AuthzReplyMsg::static_type_id()) {
+          lose_authz_reply = false;
+          return true;
+        }
+        const auto* save = net::message_cast<kernel::CheckpointSaveMsg>(m);
+        if (save == nullptr || from != pws.scheduler().address()) return false;
+        ++saves;
+        if (save->data.str() != serialize_jobs(pws.scheduler().jobs())) ++mismatches;
+        return false;
+      });
+  auto sched = [&]() -> PwsScheduler& { return pws.scheduler(); };
+  // Unknown-pool rejections take job ids: skip to the first id of a block.
+  const auto fresh_block = [&] {
+    JobId id = 0;
+    do {
+      id = sched().submit(req("filler", 1, 1.0, "no-such-pool"));
+    } while ((id + 1) % JobRows::kBlockJobs != 0);
+  };
+  TestClient client(h.cluster, net::NodeId{3});
+  std::uint64_t request_id = 0;
+  const auto authorized_submit = [&](const std::string& user, unsigned nodes) {
+    auto msg = std::make_shared<PwsSubmitMsg>();
+    msg->request = req(user, nodes, 1.0);
+    msg->token = *security.authenticate(user, "pw");
+    msg->reply_to = client.address();
+    msg->request_id = ++request_id;
+    client.send_any(sched().address(), msg);
+  };
+
+  // A 2-node job whose second exit notice arrives 150 ms after the first.
+  fresh_block();
+  const JobId pair = sched().submit(req("u", 2, 3.0));
+  h.run_s(0.5);
+  ASSERT_EQ(sched().job(pair)->state, JobState::kRunning);
+  const net::NodeId late = sched().job(pair)->allocated[1];
+  h.injector.slow_node(late, 150 * sim::kMillisecond);
+  h.run_s(3.5);
+  h.injector.restore_node_speed(late);
+
+  // The batched path, with one unknown pool.
+  fresh_block();
+  auto batch = std::make_shared<PwsSubmitBatchMsg>();
+  batch->requests = {req("u", 1, 1.0), req("u", 1, 1.0, "no-such-pool")};
+  batch->reply_to = client.address();
+  batch->request_id = ++request_id;
+  client.send_any(sched().address(), batch);
+  h.run_s(2.0);
+
+  // Authorization allowed, denied, and unanswered.
+  fresh_block();
+  authorized_submit("alice", 1);
+  h.run_s(2.0);
+  fresh_block();
+  authorized_submit("mallory", 1);
+  h.run_s(0.5);
+  fresh_block();
+  lose_authz_reply = true;
+  authorized_submit("alice", 1);
+  h.run_s(8.0);
+
+  // An after_ok chain, and a dependent whose dependency is cancelled queued.
+  fresh_block();
+  const JobId first = sched().submit(req("u", 1, 1.0));
+  fresh_block();
+  SubmitRequest then = req("u", 1, 1.0);
+  then.after_ok = first;
+  sched().submit(then);
+  h.run_s(3.0);
+  fresh_block();
+  const JobId doomed = sched().submit(req("u", 1, 1.0));
+  fresh_block();
+  SubmitRequest orphan = req("u", 1, 1.0);
+  orphan.after_ok = doomed;
+  sched().submit(orphan);
+  EXPECT_TRUE(sched().cancel(doomed));
+  h.run_s(0.5);
+
+  // A running job cancelled, a walltime kill, a node-failure requeue.
+  fresh_block();
+  const JobId victim = sched().submit(req("u", 1, 100.0));
+  h.run_s(0.5);
+  EXPECT_TRUE(sched().cancel(victim));
+  h.run_s(0.5);
+  fresh_block();
+  SubmitRequest overrun = req("u", 1, 100.0);
+  overrun.walltime_limit = 1 * sim::kSecond;
+  sched().submit(overrun);
+  h.run_s(2.5);
+  fresh_block();
+  const JobId requeued = sched().submit(req("u", 1, 100.0));
+  h.run_s(0.5);
+  ASSERT_EQ(sched().job(requeued)->state, JobState::kRunning);
+  h.injector.crash_node(sched().job(requeued)->allocated[0]);
+  h.run_s(15.0);
+
+  // A scheduler kill during an authorization that is never answered: the
+  // restore turns the authorizing job queued, and nothing else rewrites its
+  // row, since a 9-node job never starts in this 8-node pool.
+  fresh_block();
+  lose_authz_reply = true;
+  authorized_submit("alice", 9);
+  h.run_s(0.5);
+  h.injector.kill_daemon(sched());
+  h.run_s(15.0);
+  ASSERT_TRUE(sched().alive());
+  h.run_s(5.0);
+
+  const PwsStats& stats = sched().stats();
+  EXPECT_GE(stats.completed, 4u);
+  EXPECT_EQ(stats.timed_out, 1u);
+  EXPECT_EQ(stats.requeued, 1u);
+  EXPECT_GE(stats.cancelled, 3u);  // the queued, the orphan and the running one
+  EXPECT_GT(saves, 200u);
+  EXPECT_EQ(mismatches, 0u);
+  h.cluster.fabric().set_drop_filter(nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IntervalAndRetention, PwsCheckpointTest,
+    ::testing::Combine(::testing::Values(sim::SimTime{0}, 10 * sim::kMillisecond),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace phoenix::pws
