@@ -176,7 +176,7 @@ void BusinessRuntime::heal(cluster::Pid pid) {
 
 void BusinessRuntime::handle(const net::Envelope& env) {
   const net::Message& m = *env.message;
-  if (rpc_.deliver(m)) return;
+  if (rpc_.deliver(env)) return;
   if (const auto* notify = net::message_cast<kernel::EsNotifyMsg>(m)) {
     const kernel::Event& e = notify->event;
     if (e.type == kernel::event_types::kAppExited) {

@@ -25,7 +25,7 @@ void RpcClient::send(std::shared_ptr<const net::Message> request, Router route,
 
 void RpcClient::launch(std::uint64_t id, Call call, net::CallOptions opts,
                        const char* op) {
-  if (opts.deadline == 0) opts.deadline = default_deadline_;
+  if (opts.deadline == 0) opts.deadline = kDefaultDeadline;
   if (opts.max_retries < 0) opts.max_retries = policy_.default_max_retries;
   call.opts = opts;
   call.op = op;
@@ -118,7 +118,9 @@ void RpcClient::on_timer(std::uint64_t id) {
   auto it = calls_.find(id);
   if (it == calls_.end()) return;
   const Call& c = it->second;
-  if (!owner_.alive() || owner_.now() >= c.deadline_at) {
+  if (c.on_reply) {
+    finish(it, "deadline").done(Status::kTimeout, nullptr);
+  } else if (!owner_.alive() || owner_.now() >= c.deadline_at) {
     fail(it, c.transmitted ? Status::kTimeout : Status::kUnreachable);
   } else if (c.attempt > c.opts.max_retries) {
     fail(it, c.transmitted ? Status::kRetriesExhausted : Status::kUnreachable);
@@ -162,7 +164,8 @@ void RpcClient::fail(Calls::iterator it, Status status) {
   finish(it, net::to_string(status)).done(status, nullptr);
 }
 
-bool RpcClient::deliver(const net::Message& reply) {
+bool RpcClient::deliver(const net::Envelope& env) {
+  const net::Message& reply = *env.message;
   const net::MessageTypeId type = reply.type_id();
   if (type.value >= reply_ids_.size() || reply_ids_[type.value] == nullptr) {
     return false;
@@ -179,8 +182,20 @@ bool RpcClient::deliver(const net::Message& reply) {
     }
     return true;
   }
-  ++completed_ok_;
-  finish(it, "ok").done(Status::kOk, &reply);
+  if (!it->second.on_reply) {
+    ++completed_ok_;
+    finish(it, "ok").done(Status::kOk, &reply);
+    return true;
+  }
+  const std::uint64_t id = it->first;
+  const bool ended = it->second.on_reply(env);
+  it = calls_.find(id);  // on_reply may have started calls of its own
+  if (it == calls_.end()) return true;
+  if (ended) {
+    finish(it, "ended");
+  } else if (--it->second.awaiting == 0) {
+    finish(it, "ok").done(Status::kOk, nullptr);
+  }
   return true;
 }
 

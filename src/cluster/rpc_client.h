@@ -1,5 +1,5 @@
-// RpcClient — the client half of every point-to-point request/reply
-// exchange a daemon starts (DESIGN.md §9).
+// RpcClient — the client half of every request/reply exchange a daemon
+// starts (DESIGN.md §9): point-to-point calls and fan-out gathers.
 //
 // The owning daemon hands the client every envelope it receives (deliver()).
 // A call mints the request id, stamps it (and the attempt ordinal, where the
@@ -14,6 +14,10 @@
 // a net::Result; the client keeps the call/attempt spans, the latency
 // histogram and the per-status counters. A timer that fires while the owner
 // is dead fails its call without sending and without drawing jitter.
+//
+// A gather sends several requests under one id, never resends, and ends
+// when every request on the wire has been answered, when its reply handler
+// says so, or at its deadline.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +60,7 @@ class RpcClient {
   const net::RetryPolicy& policy() const noexcept { return policy_; }
 
   /// Deadline of calls whose CallOptions::deadline is 0.
-  void set_default_deadline(sim::SimTime t) noexcept { default_deadline_ = t; }
-  sim::SimTime default_deadline() const noexcept { return default_deadline_; }
+  static constexpr sim::SimTime kDefaultDeadline = 10 * sim::kSecond;
 
   /// Next id of the owner's request-id space. Requests the owner sends
   /// without waiting for a reply draw from it too, so no two of its requests
@@ -95,16 +98,48 @@ class RpcClient {
                 std::forward<Done>(done), opts, op);
   }
 
+  /// Fan-out gather: sends each (address, request) pair under one minted id
+  /// and passes every reply, with its envelope, to `on_reply(const Reply&,
+  /// const net::Envelope&)`; returning true ends the gather, and `done` then
+  /// never runs. Otherwise `done()` runs once: when every request that went
+  /// on the wire has been answered (at once if none went), or at `deadline`.
+  /// A gather never resends and never draws randomness.
+  template <typename Reply, typename Req, typename OnReply, typename Done>
+  void gather(
+      const std::vector<std::pair<net::Address, std::shared_ptr<Req>>>& requests,
+      sim::SimTime deadline, OnReply&& on_reply, Done&& done) {
+    static_assert(std::is_final_v<Reply>, "replies match by exact type id");
+    const std::uint64_t id = mint_id();
+    Call c;
+    for (const auto& [to, request] : requests) {
+      request->request_id = id;
+      if (owner_.send_any(to, request).valid()) ++c.awaiting;
+    }
+    if (c.awaiting == 0) {
+      done();
+      return;
+    }
+    c.reply_type = expect_reply<Reply>();
+    c.on_reply = [fn = std::forward<OnReply>(on_reply)](const net::Envelope& env) {
+      return fn(static_cast<const Reply&>(*env.message), env);
+    };
+    c.done = [done = std::forward<Done>(done)](Status, const net::Message*) { done(); };
+    c.issued_at = owner_.now();
+    c.deadline_at = c.issued_at + deadline;
+    c.timer = owner_.engine().schedule_at(c.deadline_at, [this, id] { on_timer(id); });
+    calls_.emplace(id, std::move(c));
+  }
+
   /// One-way request: completes kOk once an attempt is on the wire, so it is
   /// never sent twice; attempts repeat only while none could be transmitted.
   void send(std::shared_ptr<const net::Message> request, Router route,
             std::function<void(Status)> done, net::CallOptions opts = {},
             const char* op = "send");
 
-  /// Completes the pending call `reply` answers. False when `reply` is not a
-  /// reply type this client waits on; one that matches no pending call is
-  /// counted as a duplicate.
-  bool deliver(const net::Message& reply);
+  /// Completes the pending call (or feeds the gather) the envelope's reply
+  /// answers. False when it is not a reply type this client waits on; one
+  /// that matches no pending call is counted as a duplicate.
+  bool deliver(const net::Envelope& env);
 
   /// Forgets every pending call without completing it (the owner restarted:
   /// the process that waited is gone).
@@ -126,6 +161,9 @@ class RpcClient {
     bool every_network = false;              // each attempt on every network
     Router route;
     std::function<void(Status, const net::Message*)> done;
+    /// Set for a gather: takes each reply, returns true to end the gather.
+    std::function<bool(const net::Envelope&)> on_reply;
+    std::size_t awaiting = 0;       // a gather's requests still unanswered
     net::MessageTypeId reply_type;  // invalid for one-way calls
     bool one_way = false;           // completes kOk at transmit time
     net::CallOptions opts;          // resolved (no inherit markers left)
@@ -162,7 +200,6 @@ class RpcClient {
 
   Daemon& owner_;
   net::RetryPolicy policy_;
-  sim::SimTime default_deadline_ = 10 * sim::kSecond;
   Calls calls_;
   std::vector<std::uint64_t (*)(const net::Message&)> reply_ids_;  // by type id
   obs::Histogram* latency_ = nullptr;  // "<owner>.call_latency_us", on first use

@@ -240,7 +240,7 @@ void KernelApi::spawn(net::NodeId node, ProcessSpec spec,
 
 void KernelApi::handle(const net::Envelope& env) {
   const net::Message& m = *env.message;
-  if (rpc_.deliver(m)) return;
+  if (rpc_.deliver(env)) return;
   if (const auto* notify = net::message_cast<EsNotifyMsg>(m)) {
     if (on_event_) on_event_(notify->event);
     return;

@@ -69,10 +69,6 @@ class KernelApi final : public cluster::Daemon {
 
   // --- client-wide defaults ---------------------------------------------------
 
-  /// Deadline used when CallOptions::deadline is 0.
-  void set_default_deadline(sim::SimTime t) noexcept { rpc_.set_default_deadline(t); }
-  sim::SimTime default_deadline() const noexcept { return rpc_.default_deadline(); }
-
   /// Backoff schedule and default retry budget, tunable per client.
   net::RetryPolicy& retry_policy() noexcept { return rpc_.policy(); }
   const net::RetryPolicy& retry_policy() const noexcept { return rpc_.policy(); }

@@ -42,6 +42,43 @@ void merge_summary(UsageSummary& into, const UsageSummary& from) {
   into.app_count += from.app_count;
 }
 
+namespace {
+
+/// Folds one peer's answer into the access point's reply.
+void merge_reply(DbQueryReplyMsg& into, const DbQueryReplyMsg& pr,
+                 const net::Envelope& env) {
+  if (into.aggregated && pr.aggregated) {
+    merge_summary(into.summary, pr.summary);
+  } else if (env.message.use_count() == 1) {
+    // Sole owner of the delivered reply (the fabric's in-flight reference
+    // dies when this handler returns): steal the row vectors instead of
+    // copying every row a second time on the access-point merge.
+    auto& mut = const_cast<DbQueryReplyMsg&>(pr);
+    if (into.node_rows.empty()) {
+      into.node_rows = std::move(mut.node_rows);
+    } else {
+      into.node_rows.insert(into.node_rows.end(),
+                            std::move_iterator(mut.node_rows.begin()),
+                            std::move_iterator(mut.node_rows.end()));
+    }
+    if (into.app_rows.empty()) {
+      into.app_rows = std::move(mut.app_rows);
+    } else {
+      into.app_rows.insert(into.app_rows.end(),
+                           std::move_iterator(mut.app_rows.begin()),
+                           std::move_iterator(mut.app_rows.end()));
+    }
+  } else {
+    into.node_rows.insert(into.node_rows.end(), pr.node_rows.begin(),
+                          pr.node_rows.end());
+    into.app_rows.insert(into.app_rows.end(), pr.app_rows.begin(),
+                         pr.app_rows.end());
+  }
+  into.partitions_included += pr.partitions_included;
+}
+
+}  // namespace
+
 DataBulletin::DataBulletin(cluster::Cluster& cluster, net::NodeId node,
                            net::PartitionId partition, const FtParams& params,
                            ServiceDirectory* directory, double cpu_share)
@@ -78,9 +115,6 @@ DataBulletin::DataBulletin(cluster::Cluster& cluster, net::NodeId node,
             reply->app_rows, reply->summary);
     send_any(pq.reply_to, std::move(reply));
   });
-  on<DbQueryReplyMsg>([this](const DbQueryReplyMsg& pr, const net::Envelope& env) {
-    merge_query_reply(pr, env);
-  });
 }
 
 void DataBulletin::set_staleness_horizon(sim::SimTime t) {
@@ -88,6 +122,7 @@ void DataBulletin::set_staleness_horizon(sim::SimTime t) {
 }
 
 void DataBulletin::on_service_start() {
+  in_flight_.clear();  // the restart dropped their gathers
   if (staleness_horizon_ > 0) {
     sweeper_.set_period(params_.detector_sample_interval);
     sweeper_.start_after(staleness_horizon_);
@@ -238,100 +273,44 @@ void DataBulletin::handle_query(const DbQueryMsg& q) {
   // A retransmission of a query whose fan-out is still pending is dropped:
   // the original's merged reply serves the retry as well. (No replay cache
   // here — queries are reads, and a fresh execution is always valid.)
-  for (const auto& [id, p] : pending_) {
-    if (!p.done && p.reply_to == q.reply_to && p.request_id == q.request_id) {
-      ++duplicate_queries_;
-      return;
-    }
+  const std::pair asker{q.reply_to, q.request_id};
+  if (std::find(in_flight_.begin(), in_flight_.end(), asker) != in_flight_.end()) {
+    ++duplicate_queries_;
+    return;
   }
-  const std::uint64_t local_id = next_local_id_++;
-  PendingQuery pending;
-  pending.reply_to = q.reply_to;
-  pending.request_id = q.request_id;
-  pending.table = q.table;
-  pending.aggregate_only = q.aggregate_only;
-  collect(q.filter, q.table, q.aggregate_only, pending.node_rows,
-          pending.app_rows, pending.summary);
+  auto reply = std::make_shared<DbQueryReplyMsg>();
+  reply->request_id = q.request_id;
+  reply->aggregated = q.aggregate_only;
+  collect(q.filter, q.table, q.aggregate_only, reply->node_rows, reply->app_rows,
+          reply->summary);
 
+  std::vector<std::pair<net::Address, std::shared_ptr<DbPartitionQueryMsg>>> peers;
   if (q.cluster_scope && directory() != nullptr) {
+    auto sub = std::make_shared<DbPartitionQueryMsg>();
+    sub->table = q.table;
+    sub->aggregate_only = q.aggregate_only;
+    sub->filter = q.filter;
+    sub->reply_to = address();
     for (std::size_t p = 0; p < directory()->partition_count(); ++p) {
       const net::PartitionId pid{static_cast<std::uint32_t>(p)};
       if (pid == partition_) continue;
-      auto sub = std::make_shared<DbPartitionQueryMsg>();
-      sub->request_id = local_id;
-      sub->table = q.table;
-      sub->aggregate_only = q.aggregate_only;
-      sub->filter = q.filter;
-      sub->reply_to = address();
-      if (send_any(directory()->service_address(ServiceKind::kDataBulletin, pid),
-                   std::move(sub))
-              .valid()) {
-        ++pending.awaiting;
-      }
+      peers.emplace_back(directory()->service_address(ServiceKind::kDataBulletin, pid),
+                         sub);
     }
   }
-
-  pending_.emplace(local_id, std::move(pending));
-  if (pending_.at(local_id).awaiting == 0) {
-    finish_query(local_id);
-    return;
-  }
+  in_flight_.push_back(asker);
   // Answer with whatever arrived by the deadline; dead peers just reduce
   // partitions_included.
-  engine().schedule_after(query_timeout_, [this, local_id] { finish_query(local_id); });
-}
-
-void DataBulletin::finish_query(std::uint64_t local_id) {
-  auto it = pending_.find(local_id);
-  if (it == pending_.end() || it->second.done) return;
-  it->second.done = true;
-  PendingQuery result = std::move(it->second);
-  pending_.erase(it);
-  if (!result.reply_to.valid() || !alive()) return;
-  auto reply = std::make_shared<DbQueryReplyMsg>();
-  reply->request_id = result.request_id;
-  reply->node_rows = std::move(result.node_rows);
-  reply->app_rows = std::move(result.app_rows);
-  reply->aggregated = result.aggregate_only;
-  reply->summary = result.summary;
-  reply->partitions_included = result.partitions_included;
-  send_any(result.reply_to, std::move(reply));
-}
-
-void DataBulletin::merge_query_reply(const DbQueryReplyMsg& pr,
-                                     const net::Envelope& env) {
-  auto it = pending_.find(pr.request_id);
-  if (it == pending_.end() || it->second.done) return;
-  PendingQuery& pending = it->second;
-  if (pending.aggregate_only && pr.aggregated) {
-    merge_summary(pending.summary, pr.summary);
-  } else if (env.message.use_count() == 1) {
-    // Sole owner of the delivered reply (the fabric's in-flight reference
-    // dies when this handler returns): steal the row vectors instead of
-    // copying every row a second time on the access-point merge.
-    auto* mut = const_cast<DbQueryReplyMsg*>(&pr);
-    if (pending.node_rows.empty()) {
-      pending.node_rows = std::move(mut->node_rows);
-    } else {
-      pending.node_rows.insert(pending.node_rows.end(),
-                               std::move_iterator(mut->node_rows.begin()),
-                               std::move_iterator(mut->node_rows.end()));
-    }
-    if (pending.app_rows.empty()) {
-      pending.app_rows = std::move(mut->app_rows);
-    } else {
-      pending.app_rows.insert(pending.app_rows.end(),
-                              std::move_iterator(mut->app_rows.begin()),
-                              std::move_iterator(mut->app_rows.end()));
-    }
-  } else {
-    pending.node_rows.insert(pending.node_rows.end(), pr.node_rows.begin(),
-                             pr.node_rows.end());
-    pending.app_rows.insert(pending.app_rows.end(), pr.app_rows.begin(),
-                            pr.app_rows.end());
-  }
-  pending.partitions_included += pr.partitions_included;
-  if (--pending.awaiting == 0) finish_query(pr.request_id);
+  rpc().gather<DbQueryReplyMsg>(
+      peers, query_timeout_,
+      [reply](const DbQueryReplyMsg& pr, const net::Envelope& env) {
+        merge_reply(*reply, pr, env);
+        return false;
+      },
+      [this, reply, asker] {
+        std::erase(in_flight_, asker);
+        if (asker.first.valid() && alive()) send_any(asker.first, reply);
+      });
 }
 
 }  // namespace phoenix::kernel

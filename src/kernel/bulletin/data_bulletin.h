@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/daemon.h"
@@ -254,8 +255,6 @@ class DataBulletin final : public ServiceRuntime {
   void on_service_start() override;
   void on_service_stop() override;
   void handle_query(const DbQueryMsg& q);
-  void merge_query_reply(const DbQueryReplyMsg& pr, const net::Envelope& env);
-  void finish_query(std::uint64_t local_id);
 
   /// One contiguous storage slot: a node's gauge row, its app rows, and the
   /// detector sequence the pair reflects.
@@ -263,19 +262,6 @@ class DataBulletin final : public ServiceRuntime {
     NodeRecord rec;
     std::vector<AppRecord> apps;
     std::uint64_t seq = 0;
-  };
-
-  struct PendingQuery {
-    net::Address reply_to;
-    std::uint64_t request_id = 0;  // caller's id
-    BulletinTable table = BulletinTable::kBoth;
-    bool aggregate_only = false;
-    std::vector<NodeRecord> node_rows;
-    std::vector<AppRecord> app_rows;
-    UsageSummary summary;
-    std::uint32_t partitions_included = 1;
-    std::size_t awaiting = 0;
-    bool done = false;
   };
 
   NodeSlot* find_slot(net::NodeId node);
@@ -297,8 +283,8 @@ class DataBulletin final : public ServiceRuntime {
   std::size_t app_row_count_ = 0;
   std::uint64_t deltas_dropped_ = 0;
   std::uint64_t duplicate_queries_ = 0;
-  std::unordered_map<std::uint64_t, PendingQuery> pending_;
-  std::uint64_t next_local_id_ = 1;
+  /// (reply_to, request_id) of every query whose fan-out is in flight.
+  std::vector<std::pair<net::Address, std::uint64_t>> in_flight_;
 };
 
 }  // namespace phoenix::kernel

@@ -58,23 +58,6 @@ CheckpointService::CheckpointService(cluster::Cluster& cluster, net::NodeId node
                 std::move(reply));
   });
 
-  on<CheckpointLoadReplyMsg>([this](const CheckpointLoadReplyMsg& lr) {
-    auto it = pending_loads_.find(lr.request_id);
-    if (it == pending_loads_.end()) return;
-    PendingLoad& pending = it->second;
-    --pending.awaiting;
-    if (lr.found && !pending.answered) {
-      pending.answered = true;
-      auto reply = std::make_shared<CheckpointLoadReplyMsg>();
-      reply->request_id = pending.request_id;
-      reply->found = true;
-      reply->data = lr.data;
-      reply->version = lr.version;
-      send_any(pending.reply_to, std::move(reply));
-    }
-    if (pending.awaiting == 0) finish_load(lr.request_id);
-  });
-
   on<CheckpointListMsg>([this](const CheckpointListMsg& list) {
     serve_idempotent(list, [&] {
       auto reply = std::make_shared<CheckpointListReplyMsg>();
@@ -121,30 +104,44 @@ void CheckpointService::handle_load(const CheckpointLoadMsg& load,
                 load.reply_to, std::move(reply));
     return;
   }
-  // Miss: ask every federation peer; first positive answer wins. The fetch
-  // is the same for every peer, so they all share one message.
-  const std::uint64_t fetch_id = next_fetch_id_++;
-  PendingLoad pending{load.reply_to, load.request_id, 0, false};
+  // Miss: ask every federation peer; the first positive answer wins. The
+  // fetch is the same for every peer, so they all share one message. Dead
+  // peers never answer, so the load closes as not-found after a bounded wait:
+  // recovering services are not stuck behind a half-down federation (e.g.
+  // during staged cluster construction).
   auto fetch = std::make_shared<CheckpointFetchMsg>();
   fetch->service = load.service;
   fetch->key = load.key;
   fetch->reply_to = address();
-  fetch->request_id = fetch_id;
-  for (const net::Address& peer : federation_peers()) {
-    if (send_any(peer, fetch).valid()) ++pending.awaiting;
+  std::vector<std::pair<net::Address, std::shared_ptr<CheckpointFetchMsg>>> peers;
+  if (directory() != nullptr) {
+    for (std::size_t p = 0; p < directory()->partition_count(); ++p) {
+      const net::PartitionId pid{static_cast<std::uint32_t>(p)};
+      if (pid == partition_) continue;
+      peers.emplace_back(
+          directory()->service_address(ServiceKind::kCheckpointService, pid), fetch);
+    }
   }
-  if (pending.awaiting == 0) {
+  const auto answer = [this, to = load.reply_to, id = load.request_id](
+                          const CheckpointLoadReplyMsg* found) {
     auto reply = std::make_shared<CheckpointLoadReplyMsg>();
-    reply->request_id = load.request_id;
-    send_any(load.reply_to, std::move(reply));
-    return;
-  }
-  pending_loads_.emplace(fetch_id, std::move(pending));
-  // Dead peers never answer; close the load as not-found after a bounded
-  // wait so recovering services are not stuck behind a half-down
-  // federation (e.g. during staged cluster construction).
-  engine().schedule_after(params_.checkpoint_federation_fetch + 2 * sim::kSecond,
-                          [this, fetch_id] { finish_load(fetch_id); });
+    reply->request_id = id;
+    if (found != nullptr) {
+      reply->found = true;
+      reply->data = found->data;
+      reply->version = found->version;
+    }
+    send_any(to, std::move(reply));
+  };
+  rpc().gather<CheckpointLoadReplyMsg>(
+      peers, params_.checkpoint_federation_fetch + 2 * sim::kSecond,
+      [answer](const CheckpointLoadReplyMsg& lr, const net::Envelope&) {
+        if (lr.found) answer(&lr);
+        return lr.found;
+      },
+      [this, answer] {
+        if (alive()) answer(nullptr);
+      });
 }
 
 void CheckpointService::reply_after(sim::SimTime delay, net::Address reply_to,
@@ -157,17 +154,6 @@ void CheckpointService::reply_after(sim::SimTime delay, net::Address reply_to,
   static_assert(sim::Engine::Callback::stores_inline<decltype(send)>(),
                 "a per-reply closure must not heap-allocate");
   engine().schedule_after(delay, std::move(send));
-}
-
-std::vector<net::Address> CheckpointService::federation_peers() const {
-  std::vector<net::Address> peers;
-  if (directory() == nullptr) return peers;
-  for (std::size_t p = 0; p < directory()->partition_count(); ++p) {
-    const net::PartitionId pid{static_cast<std::uint32_t>(p)};
-    if (pid == partition_) continue;
-    peers.push_back(directory()->service_address(ServiceKind::kCheckpointService, pid));
-  }
-  return peers;
 }
 
 std::uint64_t CheckpointService::save_local(const std::string& service,
@@ -213,18 +199,6 @@ std::size_t CheckpointService::delete_namespace(const std::string& service,
     if (do_replicate) replicate(service, key, {}, next_version_++, /*deleted=*/true);
   }
   return removed;
-}
-
-void CheckpointService::finish_load(std::uint64_t fetch_id) {
-  auto it = pending_loads_.find(fetch_id);
-  if (it == pending_loads_.end()) return;
-  const PendingLoad pending = it->second;
-  pending_loads_.erase(it);
-  if (!pending.answered && alive()) {
-    auto reply = std::make_shared<CheckpointLoadReplyMsg>();
-    reply->request_id = pending.request_id;
-    send_any(pending.reply_to, std::move(reply));
-  }
 }
 
 void CheckpointService::replicate(const std::string& service, const std::string& key,

@@ -13,12 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/daemon.h"
@@ -68,28 +66,17 @@ class CheckpointService final : public ServiceRuntime {
                    std::shared_ptr<CheckpointLoadReplyMsg> reply);
   void replicate(const std::string& service, const std::string& key,
                  const CheckpointData& data, std::uint64_t version, bool deleted);
-  std::vector<net::Address> federation_peers() const;
 
   struct Entry {
     CheckpointData data;
     std::uint64_t version = 0;
   };
 
-  struct PendingLoad {
-    net::Address reply_to;
-    std::uint64_t request_id = 0;
-    std::size_t awaiting = 0;
-    bool answered = false;
-  };
-  void finish_load(std::uint64_t fetch_id);
-
   net::PartitionId partition_;
   const FtParams& params_;
   std::size_t replication_factor_ = 2;
   std::map<std::pair<std::string, std::string>, Entry> store_;
   std::uint64_t next_version_ = 1;
-  std::unordered_map<std::uint64_t, PendingLoad> pending_loads_;
-  std::uint64_t next_fetch_id_ = 1;
 };
 
 }  // namespace phoenix::kernel

@@ -26,7 +26,6 @@ GroupServiceDaemon::GroupServiceDaemon(cluster::Cluster& cluster, net::NodeId no
       partition_(partition),
       params_(params),
       log_(log),
-      rpc_(*this),
       supervised_(std::move(default_supervised)),
       partition_checker_(cluster.engine(), params.heartbeat_interval,
                          [this] { check_partition(); }),
@@ -68,7 +67,6 @@ GroupServiceDaemon::GroupServiceDaemon(cluster::Cluster& cluster, net::NodeId no
   on<RingHeartbeatMsg>([this](const RingHeartbeatMsg& ring, const net::Envelope& env) {
     if (MembershipRing* r = ring_for(ring.scope)) r->handle_ring_heartbeat(ring, env);
   });
-  on<ProbeReplyMsg>([this](const ProbeReplyMsg& reply) { rpc_.deliver(reply); });
   on<ViewChangeMsg>([this](const ViewChangeMsg& msg) {
     if (MembershipRing* r = ring_for(msg.scope)) r->apply_view(msg.view);
   });
@@ -84,8 +82,6 @@ GroupServiceDaemon::GroupServiceDaemon(cluster::Cluster& cluster, net::NodeId no
     if (MembershipRing* r = ring_for(vote.scope)) r->handle_regroup_vote(vote);
   });
   on<ServiceUpMsg>([this](const ServiceUpMsg& up) { handle_service_up(up); });
-  on<StartServiceReplyMsg>(
-      [this](const StartServiceReplyMsg& reply) { rpc_.deliver(reply); });
   // Recovery here is fetch_state_and_join (view merge + ring rejoin), not the
   // runtime's generic restore loop, so this daemon owns the reply type.
   on<CheckpointLoadReplyMsg>([this](const CheckpointLoadReplyMsg& reply) {
@@ -140,7 +136,6 @@ void GroupServiceDaemon::on_service_start() {
     watches_.emplace(n.value, std::move(watch));
   }
   primary_ring_->reset_runtime_state(nets);
-  rpc_.drop_all();
   service_recovering_.clear();
   if (top_ring_ != nullptr) {
     top_ring_->reset_runtime_state(nets);
@@ -351,7 +346,7 @@ void GroupServiceDaemon::ring_recover_member(MembershipRing& ring,
     restart->kind = ServiceKind::kGroupService;
     restart->partition = member.partition;
     restart->create = false;
-    restart->request_id = rpc_.mint_id();
+    restart->request_id = rpc().mint_id();
     restart->epoch = ring.view().epoch;
     restart->scope = ring.scope();
     send_any(ppm_at(member.gsd.node), std::move(restart));
@@ -553,7 +548,7 @@ void GroupServiceDaemon::census_probe(net::PartitionId target, bool top) {
             restart->kind = ServiceKind::kGroupService;
             restart->partition = target;
             restart->create = false;
-            restart->request_id = rpc_.mint_id();
+            restart->request_id = rpc().mint_id();
             restart->epoch = ring.view().epoch;
             restart->scope = ring.scope();
             send_any(ppm_at(node), std::move(restart));
@@ -702,7 +697,7 @@ void GroupServiceDaemon::probe(net::NodeId node, int attempts, sim::SimTime time
                                std::function<void(const ProbeReplyMsg*)> done) {
   auto msg = std::make_shared<ProbeMsg>();
   msg->reply_to = address();
-  rpc_.call<ProbeReplyMsg>(
+  rpc().call<ProbeReplyMsg>(
       std::move(msg), ppm_at(node),
       [this, done = std::move(done)](net::Result<const ProbeReplyMsg*> reply) {
         if (alive()) done(reply ? reply.value : nullptr);
@@ -749,7 +744,7 @@ void GroupServiceDaemon::conclude_wd_process_failure(net::NodeId node,
   restart->reply_to = address();
   restart->epoch = primary_ring_->view().epoch;
   restart->scope = primary_ring_->scope();
-  rpc_.call<StartServiceReplyMsg>(
+  rpc().call<StartServiceReplyMsg>(
       std::move(restart), ppm_at(node),
       [this, node](net::Result<const StartServiceReplyMsg*> reply) {
         finish_wd_restart(node, reply && reply.value->ok);
@@ -815,7 +810,7 @@ void GroupServiceDaemon::migrate_partition(const MetaMember& failed,
     start->kind = ServiceKind::kGroupService;
     start->partition = failed.partition;
     start->create = true;
-    start->request_id = rpc_.mint_id();
+    start->request_id = rpc().mint_id();
     start->epoch = r->view().epoch;
     start->scope = r->scope();
     send_any(ppm_at(targets.front()), std::move(start));
@@ -933,7 +928,7 @@ void GroupServiceDaemon::check_services() {
           start->extension_port = spec.port;
           start->partition = partition_;
           start->create = create;
-          start->request_id = rpc_.mint_id();
+          start->request_id = rpc().mint_id();
           start->epoch = primary_ring_->view().epoch;
           start->scope = primary_ring_->scope();
           send_any(ppm_at(node_id()), std::move(start));

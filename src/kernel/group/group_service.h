@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "cluster/daemon.h"
-#include "cluster/rpc_client.h"
 #include "kernel/event/event.h"
 #include "kernel/fault_log.h"
 #include "kernel/ft_params.h"
@@ -297,11 +296,6 @@ class GroupServiceDaemon final : public ServiceRuntime,
   };
   std::unordered_map<std::uint32_t, NodeWatch> watches_;
   std::uint64_t heartbeats_received_ = 0;
-
-  // Liveness probes (node diagnosis, census and the rings' probes) and WD
-  // restarts in flight; also mints the ids of the StartService orders sent
-  // without a reply address.
-  cluster::RpcClient rpc_;
 
   // Membership rings. primary_ring_ always exists (scope 0 flat, or the
   // partition's zone sub-ring); top_ring_ exists only under zoned().

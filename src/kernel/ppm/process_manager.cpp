@@ -70,25 +70,6 @@ ProcessManager::ProcessManager(cluster::Cluster& cluster, net::NodeId node,
   on<ParallelCmdMsg>([this](const ParallelCmdMsg& msg) {
     handle_parallel_cmd(msg);
   });
-  on<ParallelCmdReplyMsg>([this](const ParallelCmdReplyMsg& creply) {
-    auto it = pending_cmds_.find(creply.request_id);
-    if (it == pending_cmds_.end()) return;
-    it->second.succeeded += creply.succeeded;
-    it->second.failed += creply.failed;
-    if (--it->second.awaiting == 0) {
-      PendingCmd done = it->second;
-      pending_cmds_.erase(it);
-      if (done.reply_to.valid()) {
-        auto reply = std::make_shared<ParallelCmdReplyMsg>();
-        reply->request_id = done.request_id;
-        reply->succeeded = done.succeeded;
-        reply->failed = done.failed;
-        replay_cache().complete(done.reply_to, ParallelCmdMsg::static_type_id(),
-                                done.request_id, reply);
-        send_any(done.reply_to, std::move(reply));
-      }
-    }
-  });
 }
 
 cluster::Pid ProcessManager::spawn_local(const ProcessSpec& spec,
@@ -205,14 +186,9 @@ void ProcessManager::handle_parallel_cmd(const ParallelCmdMsg& msg) {
     if (n != node_id()) rest.push_back(n);
   }
 
-  const std::uint64_t cmd_id = next_cmd_id_++;
-  PendingCmd pending;
-  pending.reply_to = msg.reply_to;
-  pending.request_id = msg.request_id;
-  pending.succeeded = 1;  // local execution (accounted below after exec time)
-
   const std::size_t fanout = std::max<std::size_t>(1, msg.fanout);
   const std::size_t chunks = std::min(fanout, rest.size());
+  std::vector<std::pair<net::Address, std::shared_ptr<ParallelCmdMsg>>> subtrees;
   for (std::size_t i = 0; i < chunks; ++i) {
     // Chunk i takes elements [i*len, (i+1)*len) with remainder spread left.
     const std::size_t base = rest.size() / chunks;
@@ -227,54 +203,42 @@ void ProcessManager::handle_parallel_cmd(const ParallelCmdMsg& msg) {
                       rest.begin() + static_cast<std::ptrdiff_t>(end));
     sub->fanout = fanout;
     sub->reply_to = address();
-    sub->request_id = cmd_id;
-    const net::Address child{sub->nodes.front(), port_of(ServiceKind::kProcessManager)};
-    const std::size_t chunk_size = end - begin;
-    if (send_any(child, std::move(sub)).valid()) {
-      ++pending.awaiting;
-    } else {
-      pending.failed += chunk_size;  // unreachable chunk head: whole chunk lost
-    }
+    subtrees.emplace_back(
+        net::Address{sub->nodes.front(), port_of(ServiceKind::kProcessManager)},
+        std::move(sub));
   }
 
-  ++pending.awaiting;  // one slot for the local execution below
-  pending_cmds_.emplace(cmd_id, pending);
-
-  // Local execution cost; completes the subtree if all children are done.
-  engine().schedule_after(kCommandExecTime, [this, cmd_id] {
-    auto it = pending_cmds_.find(cmd_id);
-    if (it == pending_cmds_.end()) return;
-    if (--it->second.awaiting == 0) {
-      PendingCmd done = it->second;
-      pending_cmds_.erase(it);
-      if (done.reply_to.valid() && alive()) {
-        auto reply = std::make_shared<ParallelCmdReplyMsg>();
-        reply->request_id = done.request_id;
-        reply->succeeded = done.succeeded;
-        reply->failed = done.failed;
-        replay_cache().complete(done.reply_to, ParallelCmdMsg::static_type_id(),
-                                done.request_id, reply);
-        send_any(done.reply_to, std::move(reply));
-      }
-    }
-  });
-
-  // Subtree timeout: whatever has not replied by then counts as failed.
-  engine().schedule_after(kCmdTimeout, [this, cmd_id] {
-    auto it = pending_cmds_.find(cmd_id);
-    if (it == pending_cmds_.end()) return;
-    PendingCmd done = it->second;
-    pending_cmds_.erase(it);
-    if (done.reply_to.valid() && alive()) {
-      auto reply = std::make_shared<ParallelCmdReplyMsg>();
-      reply->request_id = done.request_id;
-      reply->succeeded = done.succeeded;
-      reply->failed = done.failed + done.awaiting;  // lost subtrees
-      replay_cache().complete(done.reply_to, ParallelCmdMsg::static_type_id(),
-                              done.request_id, reply);
-      send_any(done.reply_to, std::move(reply));
-    }
-  });
+  // The reply goes out once both the subtrees' gather (closed at kCmdTimeout)
+  // and the local execution are done. Every covered node that did not report
+  // success failed: its chunk head was unreachable, or its subtree silent.
+  struct Tally {
+    net::Address reply_to;
+    std::uint64_t request_id = 0;
+    std::uint64_t covered = 0;
+    std::uint64_t succeeded = 1;  // the local execution
+    int waiting = 2;              // the gather and the local execution
+  };
+  auto tally = std::make_shared<Tally>(
+      Tally{.reply_to = msg.reply_to, .request_id = msg.request_id,
+            .covered = rest.size() + 1});
+  const auto finish = [this, tally] {
+    if (--tally->waiting > 0 || !tally->reply_to.valid() || !alive()) return;
+    auto reply = std::make_shared<ParallelCmdReplyMsg>();
+    reply->request_id = tally->request_id;
+    reply->succeeded = tally->succeeded;
+    reply->failed = tally->covered - tally->succeeded;
+    replay_cache().complete(tally->reply_to, ParallelCmdMsg::static_type_id(),
+                            tally->request_id, reply);
+    send_any(tally->reply_to, std::move(reply));
+  };
+  rpc().gather<ParallelCmdReplyMsg>(
+      subtrees, kCmdTimeout,
+      [tally](const ParallelCmdReplyMsg& sub, const net::Envelope&) {
+        tally->succeeded += sub.succeeded;
+        return false;
+      },
+      finish);
+  engine().schedule_after(kCommandExecTime, finish);
 }
 
 }  // namespace phoenix::kernel

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/daemon.h"
@@ -205,19 +204,6 @@ class ProcessManager final : public ServiceRuntime {
   sim::SimTime exec_time_for(ServiceKind kind, bool extension) const;
 
   const FtParams& params_;
-
-  /// In-flight parallel command aggregation state. The fan-out completes
-  /// asynchronously, so the at-most-once protocol uses the runtime's
-  /// replay_cache() begin/complete directly instead of serve_mutating().
-  struct PendingCmd {
-    net::Address reply_to;
-    std::uint64_t request_id = 0;
-    std::uint64_t succeeded = 0;
-    std::uint64_t failed = 0;
-    std::size_t awaiting = 0;  // child replies still outstanding
-  };
-  std::unordered_map<std::uint64_t, PendingCmd> pending_cmds_;
-  std::uint64_t next_cmd_id_ = 1;
 };
 
 }  // namespace phoenix::kernel

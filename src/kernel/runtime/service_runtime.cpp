@@ -15,6 +15,7 @@ ServiceRuntime::ServiceRuntime(cluster::Cluster& cluster, std::string name,
       directory_(directory),
       params_(params),
       opts_(std::move(opts)),
+      rpc_(*this),
       metrics_(&cluster.metrics()),
       spans_(&cluster.span_store()) {
   // Every runtime understands the fencing broadcast; under the unilateral
@@ -69,13 +70,14 @@ void ServiceRuntime::handle(const net::Envelope& env) {
   dispatch(env, id);
 }
 
-void ServiceRuntime::dispatch(const net::Envelope& env, net::MessageTypeId id) {
+bool ServiceRuntime::dispatch(const net::Envelope& env, net::MessageTypeId id) {
   if (id.value < table_.size() && table_[id.value]) {
     table_[id.value](env);
-    return;
+    return true;
   }
+  if (rpc_.deliver(env)) return true;
   ++counters_.messages_unhandled;
-  on_unhandled(env);
+  return false;
 }
 
 void ServiceRuntime::handle_observed(const net::Envelope& env,
@@ -95,15 +97,15 @@ void ServiceRuntime::handle_observed(const net::Envelope& env,
   }
   const obs::TraceContext ctx = obs::current_context();
   if (spans_->enabled() && ctx.active()) {
-    const bool handled = id.value < table_.size() && table_[id.value] != nullptr;
     const std::uint64_t span_id = spans_->mint_id();
     const sim::SimTime started = now();
     serve_outcome_ = nullptr;
+    bool handled = false;
     {
       // Handlers (and their replies) parent to this serve span; a dedup hit
       // in serve_mutating reports itself through serve_outcome_.
       obs::ContextScope scope(obs::TraceContext{ctx.trace_id, span_id});
-      dispatch(env, id);
+      handled = dispatch(env, id);
     }
     const char* outcome = serve_outcome_ != nullptr ? serve_outcome_
                           : handled                 ? "handled"
@@ -119,6 +121,7 @@ void ServiceRuntime::handle_observed(const net::Envelope& env,
 }
 
 void ServiceRuntime::on_start() {
+  rpc_.drop_all();  // whatever the dead process waited on died with it
   if (pending_takeover_) {
     pending_takeover_ = false;
     ++counters_.takeovers;

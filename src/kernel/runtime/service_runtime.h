@@ -19,6 +19,10 @@
 //   4. Uniform counters — messages by type, replays, restores, takeovers —
 //      read through counters().
 //
+// It also owns the service's one cluster::RpcClient (rpc()): every delivered
+// type the service registers no handler for goes to it, and a restart drops
+// its pending calls and gathers.
+//
 // See DESIGN.md §10 for the lifecycle diagram and a worked example of
 // adding a new service in ~30 lines.
 #pragma once
@@ -33,6 +37,7 @@
 #include <vector>
 
 #include "cluster/daemon.h"
+#include "cluster/rpc_client.h"
 #include "kernel/ft_params.h"
 #include "kernel/service_kind.h"
 #include "kernel/service_msgs.h"
@@ -50,7 +55,8 @@ struct RuntimeCounters {
   /// Delivered envelopes broken down by message type.
   net::TypeCounts messages_by_type;
   std::uint64_t messages_received = 0;
-  /// Delivered envelopes with no registered handler.
+  /// Delivered envelopes with no registered handler that rpc() did not
+  /// take either.
   std::uint64_t messages_unhandled = 0;
   /// Checkpoint saves issued (save_state / coalesced mark_dirty flushes).
   std::uint64_t snapshots_saved = 0;
@@ -120,6 +126,10 @@ class ServiceRuntime : public cluster::Daemon {
 
   ServiceDirectory* directory() const noexcept { return directory_; }
   const Options& options() const noexcept { return opts_; }
+
+  /// The service's calls and gathers. Replies reach it without an on<>
+  /// registration; a restart forgets whatever the dead process waited on.
+  cluster::RpcClient& rpc() noexcept { return rpc_; }
 
   /// Address of the `kind` instance serving this service's partition.
   net::Address partition_service(ServiceKind kind) const {
@@ -206,9 +216,6 @@ class ServiceRuntime : public cluster::Daemon {
   virtual std::string snapshot() const { return {}; }
   virtual void restore(const std::string& data) { (void)data; }
 
-  /// Delivered envelope with no registered handler (default: drop).
-  virtual void on_unhandled(const net::Envelope& env) { (void)env; }
-
   /// Epoch fencing gate for mutating requests. Epoch 0 is legacy/unfenced
   /// traffic and always passes (the paper's unilateral policy never stamps
   /// epochs, so its behaviour is untouched). A nonzero epoch at or above the
@@ -260,7 +267,9 @@ class ServiceRuntime : public cluster::Daemon {
   /// Slow path of handle(): serve span + serve-latency histogram. Split out
   /// so the default path stays the dense-table dispatch plus one branch.
   void handle_observed(const net::Envelope& env, net::MessageTypeId id);
-  void dispatch(const net::Envelope& env, net::MessageTypeId id);
+  /// Runs the registered handler, or hands the envelope to rpc(); false
+  /// (and counted unhandled) when neither takes it.
+  bool dispatch(const net::Envelope& env, net::MessageTypeId id);
 
   void attempt_recovery_load();
   void on_recovery_reply(const CheckpointLoadReplyMsg& reply);
@@ -269,6 +278,7 @@ class ServiceRuntime : public cluster::Daemon {
   const FtParams* params_;
   Options opts_;
   std::vector<std::function<void(const net::Envelope&)>> table_;
+  cluster::RpcClient rpc_;
   net::ReplayCache replay_;
   RuntimeCounters counters_;
 

@@ -100,7 +100,7 @@ void PbsServer::poll_all() {
 
 void PbsServer::handle(const net::Envelope& env) {
   const net::Message& m = *env.message;
-  if (rpc_.deliver(m)) return;
+  if (rpc_.deliver(env)) return;
 
   if (const auto* poll = net::message_cast<PollReplyMsg>(m)) {
     // Completion is only discovered here — the polling lag the paper

@@ -201,7 +201,7 @@ void SubmissionGateway::flush() {
 }
 
 void SubmissionGateway::handle(const net::Envelope& env) {
-  rpc_.deliver(*env.message);
+  rpc_.deliver(env);
 }
 
 }  // namespace phoenix::pws

@@ -26,7 +26,6 @@ PwsScheduler::PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
                              .checkpoint_key = "jobs",
                              .extension = "pws.scheduler"}),
       config_(std::move(config)),
-      rpc_(*this),
       attempt_wait_(2 * sim::kSecond + kernel.params().checkpoint_federation_fetch),
       ticker_(cluster.engine(), config_.schedule_tick, [this] { schedule_pass(); }) {
   // A gateway retry arrives 2 s (SubmissionGateway's resend interval) after its
@@ -109,10 +108,6 @@ PwsScheduler::PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
     reply->cancelled = cancel(cancel_msg.job_id);
     send_any(cancel_msg.reply_to, std::move(reply));
   });
-  on<kernel::AuthzReplyMsg>(
-      [this](const kernel::AuthzReplyMsg& authz) { rpc_.deliver(authz); });
-  on<kernel::SpawnReplyMsg>(
-      [this](const kernel::SpawnReplyMsg& spawn) { rpc_.deliver(spawn); });
   on<kernel::ExitNotifyMsg>([this](const kernel::ExitNotifyMsg& exit) {
     complete_process(exit.pid, exit.node);
   });
@@ -124,10 +119,6 @@ PwsScheduler::PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
       handle_node_recovered(e.subject_node);
     }
   });
-  on<kernel::CheckpointLoadReplyMsg>(
-      [this](const kernel::CheckpointLoadReplyMsg& load) { rpc_.deliver(load); });
-  on<kernel::DbQueryReplyMsg>(
-      [this](const kernel::DbQueryReplyMsg& reply) { rpc_.deliver(reply); });
 }
 
 PwsScheduler::~PwsScheduler() {
@@ -135,7 +126,6 @@ PwsScheduler::~PwsScheduler() {
 }
 
 void PwsScheduler::on_service_start() {
-  rpc_.drop_all();  // whatever the dead process waited on died with it
   ticker_.set_period(config_.schedule_tick);
   ticker_.start_after(config_.schedule_tick);
   subscribe_events();
@@ -569,7 +559,7 @@ void PwsScheduler::launch(Job& job) {
     spawn->spec.duration = job.duration;
     spawn->reply_to = address();
     spawn->exit_notify = address();
-    rpc_.call<kernel::SpawnReplyMsg>(
+    rpc().call<kernel::SpawnReplyMsg>(
         std::move(spawn), {n, kernel::port_of(ServiceKind::kProcessManager)},
         [this, id = job.id, n](net::Result<const kernel::SpawnReplyMsg*> spawned) {
           if (!spawned || !spawned.value->ok) return;
@@ -789,7 +779,7 @@ void PwsScheduler::recover_state() {
   load->service = options().checkpoint_namespace;
   load->key = options().checkpoint_key;
   load->reply_to = address();
-  rpc_.call<kernel::CheckpointLoadReplyMsg>(
+  rpc().call<kernel::CheckpointLoadReplyMsg>(
       std::move(load), partition_service(ServiceKind::kCheckpointService),
       [this](net::Result<const kernel::CheckpointLoadReplyMsg*> loaded) {
         if (!alive()) return;
@@ -872,7 +862,7 @@ void PwsScheduler::reconcile_with_bulletin() {
   query->table = kernel::BulletinTable::kApps;
   query->cluster_scope = true;
   query->reply_to = address();
-  rpc_.call<kernel::DbQueryReplyMsg>(
+  rpc().call<kernel::DbQueryReplyMsg>(
       std::move(query), partition_service(ServiceKind::kDataBulletin),
       [this](net::Result<const kernel::DbQueryReplyMsg*> reply) {
         if (!alive()) return;
@@ -909,7 +899,7 @@ void PwsScheduler::handle_submit(const PwsSubmitMsg& submit) {
     authz->action = "job.submit";
     authz->resource = "pool/" + submit.request.pool;
     authz->reply_to = address();
-    rpc_.call<kernel::AuthzReplyMsg>(
+    rpc().call<kernel::AuthzReplyMsg>(
         std::move(authz),
         directory()->service_address(ServiceKind::kSecurity, net::PartitionId{0}),
         [this, id, reply_to = submit.reply_to, caller = submit.request_id](

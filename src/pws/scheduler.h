@@ -33,7 +33,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/rpc_client.h"
 #include "kernel/kernel.h"
 #include "kernel/runtime/service_runtime.h"
 #include "kernel/security/security_service.h"
@@ -375,9 +374,6 @@ class PwsScheduler final : public kernel::ServiceRuntime {
 
   std::map<cluster::Pid, JobId> pid_to_job_;
 
-  /// Spawns, authorizations, and the restart's checkpoint load and
-  /// bulletin reconcile.
-  cluster::RpcClient rpc_;
   /// Every call waits this long for a reply after each attempt: as long as
   /// one of the runtime's recovery loads (2 s plus a federation fetch).
   const sim::SimTime attempt_wait_;

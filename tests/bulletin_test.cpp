@@ -87,6 +87,28 @@ TEST_F(BulletinTest, DeadInstanceDegradesToRemainingPartitions) {
   EXPECT_EQ(reply->partitions_included, 1u);
 }
 
+// A retry that reaches the access point while the original's fan-out is
+// pending is dropped, and the original's reply answers both; a copy sent
+// after that reply runs again.
+TEST_F(BulletinTest, RetryDuringFanOutIsDroppedLaterCopyRunsAgain) {
+  h.kernel.bulletin(net::PartitionId{1}).kill();  // the fan-out waits 500 ms
+  TestClient client(h.cluster, net::NodeId{2});
+  auto q = std::make_shared<DbQueryMsg>();
+  q->request_id = 77;
+  q->reply_to = client.address();
+  client.send_any(db(0).address(), q);
+  h.run_s(0.2);
+  client.send_any(db(0).address(), q);
+  h.run_s(1.0);
+  EXPECT_EQ(client.of_type<DbQueryReplyMsg>().size(), 1u);
+  EXPECT_EQ(db(0).duplicate_queries(), 1u);
+
+  client.send_any(db(0).address(), q);
+  h.run_s(1.0);
+  EXPECT_EQ(client.of_type<DbQueryReplyMsg>().size(), 2u);
+  EXPECT_EQ(db(0).duplicate_queries(), 1u);
+}
+
 TEST_F(BulletinTest, AppTableCarriesUserProcesses) {
   // Launch a user process on a compute node; the app detector exports it.
   auto& ppm = h.kernel.ppm(net::NodeId{3});

@@ -185,6 +185,26 @@ TEST_F(PpmTest, ParallelCommandReportsDeadNodesAsFailed) {
   EXPECT_LT(reply->succeeded, h.cluster.node_count());
 }
 
+// A subtree that stays silent to the timeout fails every node it covers,
+// the same as a chunk whose head is unreachable. Root 0 at fanout 4 splits
+// nodes 1-11 into {1, 2, 3}, {4, 5, 6}, {7, 8, 9} and {10, 11}; node 4 is up
+// but its PPM is dead.
+TEST_F(PpmTest, ParallelCommandSilentSubtreeFailsEveryCoveredNode) {
+  h.injector.kill_daemon(h.kernel.ppm(net::NodeId{4}));
+  auto cmd = std::make_shared<ParallelCmdMsg>();
+  cmd->command = "uptime";
+  for (const auto& node : h.cluster.nodes()) cmd->nodes.push_back(node.id());
+  ASSERT_EQ(cmd->nodes.size(), 12u);
+  cmd->fanout = 4;
+  cmd->reply_to = client.address();
+  client.send_any(ppm_addr(0), cmd);
+  h.run_s(10.0);
+  const auto* reply = client.last_of_type<ParallelCmdReplyMsg>();
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply->succeeded, 9u);
+  EXPECT_EQ(reply->failed, 3u);
+}
+
 TEST_F(PpmTest, ParallelCommandSingleNode) {
   auto cmd = std::make_shared<ParallelCmdMsg>();
   cmd->command = "true";

@@ -1,12 +1,15 @@
 // RpcClient tests (DESIGN.md §9): replies complete a call exactly once,
 // unanswered calls retry until their budget is spent, a fixed per-call wait
-// replaces the jittered backoff, a request can go out on every network, and
-// a dead owner's pending calls fail without sending or drawing randomness.
+// replaces the jittered backoff, a request can go out on every network, a
+// dead owner's pending calls fail without sending or drawing randomness, and
+// a fan-out gather ends once: all answered, ended by its reply handler, or
+// at its deadline.
 #include "cluster/rpc_client.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "kernel/ppm/process_manager.h"
@@ -57,26 +60,29 @@ class Caller final : public Daemon {
   std::shared_ptr<const PingMsg> last_ping;
 
  private:
-  void handle(const net::Envelope& env) override { rpc.deliver(*env.message); }
+  void handle(const net::Envelope& env) override { rpc.deliver(env); }
 };
 
-/// Answers every ping twice, so the second answer is a duplicate.
+/// Answers every ping `copies` times (twice by default, so the second
+/// answer is a duplicate).
 class Echo final : public Daemon {
  public:
-  Echo(Cluster& cluster, net::NodeId node)
-      : Daemon(cluster, "echo", node, net::PortId{41}) {
+  Echo(Cluster& cluster, net::NodeId node, int copies = 2)
+      : Daemon(cluster, "echo", node, net::PortId{41}), copies_(copies) {
     start();
   }
 
  private:
   void handle(const net::Envelope& env) override {
     const auto& ping = static_cast<const PingMsg&>(*env.message);
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < copies_; ++i) {
       auto pong = std::make_shared<PongMsg>();
       pong->request_id = ping.request_id;
       send_any(ping.reply_to, std::move(pong));
     }
   }
+
+  int copies_;
 };
 
 class RpcClientTest : public ::testing::Test {
@@ -218,6 +224,95 @@ TEST_F(RpcClientTest, DropAllForgetsPendingCallsWithoutCompleting) {
   EXPECT_TRUE(caller.done.empty());
   EXPECT_EQ(caller.rpc.pending_calls(), 0u);
   EXPECT_EQ(messages_sent(), sent);
+}
+
+// --- fan-out gathers ---------------------------------------------------------
+
+class RpcGatherTest : public RpcClientTest {
+ protected:
+  /// One ping per target under one gather. Counts the replies handled;
+  /// reply number `end_after` ends the gather (0: none does). Records the
+  /// time `done` ran.
+  void gather(const std::vector<net::Address>& targets, sim::SimTime deadline,
+              int end_after = 0) {
+    std::vector<std::pair<net::Address, std::shared_ptr<PingMsg>>> requests;
+    for (const net::Address& to : targets) {
+      auto ping = std::make_shared<PingMsg>();
+      ping->reply_to = caller.address();
+      requests.emplace_back(to, std::move(ping));
+    }
+    caller.rpc.gather<PongMsg>(
+        requests, deadline,
+        [this, end_after](const PongMsg&, const net::Envelope&) {
+          return ++replies == end_after;
+        },
+        [this] { done_at.push_back(cluster.now()); });
+  }
+  net::Address echo_at(std::uint32_t partition, std::size_t i) {
+    echoes.push_back(std::make_unique<Echo>(
+        cluster, cluster.compute_nodes(net::PartitionId{partition})[i], 1));
+    return echoes.back()->address();
+  }
+
+  std::vector<std::unique_ptr<Echo>> echoes;
+  int replies = 0;
+  std::vector<sim::SimTime> done_at;
+};
+
+TEST_F(RpcGatherTest, DoneRunsOnceWhenEveryReplyIsIn) {
+  const std::vector<net::Address> targets{echo_at(1, 1), echo_at(1, 2), echo_at(0, 1)};
+  const std::size_t idle = cluster.engine().pending();
+  const sim::SimTime t = cluster.now();
+  gather(targets, 5 * sim::kSecond);
+  run_s(1.0);
+
+  EXPECT_EQ(replies, 3);
+  ASSERT_EQ(done_at.size(), 1u);
+  EXPECT_LT(done_at[0], t + sim::kSecond);
+  EXPECT_EQ(caller.rpc.pending_calls(), 0u);
+  EXPECT_EQ(cluster.engine().pending(), idle);  // the deadline timer is gone
+  run_s(10.0);
+  EXPECT_EQ(done_at.size(), 1u);
+  EXPECT_EQ(caller.rpc.duplicate_replies(), 0u);
+}
+
+TEST_F(RpcGatherTest, ReplyHandlerEndsItWithoutDone) {
+  const std::vector<net::Address> targets{echo_at(1, 1), echo_at(1, 2), echo_at(0, 1)};
+  const std::size_t idle = cluster.engine().pending();
+  gather(targets, 5 * sim::kSecond, /*end_after=*/1);
+  run_s(10.0);
+
+  EXPECT_EQ(replies, 1);
+  EXPECT_TRUE(done_at.empty());
+  EXPECT_EQ(caller.rpc.duplicate_replies(), 2u);
+  EXPECT_EQ(caller.rpc.pending_calls(), 0u);
+  EXPECT_EQ(cluster.engine().pending(), idle);
+}
+
+TEST_F(RpcGatherTest, MissingRepliesCloseItAtTheDeadline) {
+  const std::vector<net::Address> targets{echo_at(1, 1), nobody()};
+  const sim::SimTime t = cluster.now();
+  const std::uint64_t sent = messages_sent();
+  gather(targets, 2 * sim::kSecond);
+  run_s(10.0);
+
+  EXPECT_EQ(replies, 1);
+  EXPECT_EQ(done_at, std::vector<sim::SimTime>{t + 2 * sim::kSecond});
+  EXPECT_EQ(messages_sent(), sent + 3);  // two pings and one pong: no resend
+  EXPECT_EQ(caller.rpc.pending_calls(), 0u);
+}
+
+TEST_F(RpcGatherTest, NothingSentRunsDoneAtOnceWithoutTimer) {
+  const net::Address dead = echo_at(1, 1);
+  cluster.crash_node(dead.node);
+  const std::size_t idle = cluster.engine().pending();
+  const sim::SimTime t = cluster.now();
+  gather({}, 5 * sim::kSecond);
+  gather({dead}, 5 * sim::kSecond);
+
+  EXPECT_EQ(done_at, (std::vector<sim::SimTime>{t, t}));
+  EXPECT_EQ(caller.rpc.pending_calls(), 0u);
+  EXPECT_EQ(cluster.engine().pending(), idle);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // ServiceRuntime tests: declarative dispatch and counters, at-most-once
 // serving via the runtime-owned ReplayCache, ReplayCache eviction edge
-// cases, the unified kill -> restart -> restore lifecycle across services,
-// takeover accounting, the per-service stats surface, mark_dirty's
+// cases, the runtime-owned RPC client, the unified kill -> restart ->
+// restore lifecycle across services, takeover accounting, mark_dirty's
 // checkpoint coalescing, and the acceptance check that a brand-new service
 // built on the runtime rides the existing group-service failover machinery
 // with no group-service edits.
@@ -154,6 +154,100 @@ TEST_F(RuntimeKernelTest, MutatingServeRepliesFromRuntimeCache) {
   EXPECT_EQ(client.of_type<ConfigSetReplyMsg>().back()->version, version);
   EXPECT_EQ(config.replay_cache().replays_served(), 1u);
   EXPECT_EQ(config.get("runtime/test"), "v1");
+}
+
+// --- the runtime's RPC client ------------------------------------------------
+
+struct PingMsg final : net::Message {
+  net::Address reply_to;
+  std::uint64_t request_id = 0;
+
+  PHOENIX_MESSAGE_TYPE("test.runtime_ping")
+  std::size_t wire_size() const noexcept override { return 16; }
+};
+
+struct PongMsg final : net::Message {
+  std::uint64_t request_id = 0;
+
+  PHOENIX_MESSAGE_TYPE("test.runtime_pong")
+  std::size_t wire_size() const noexcept override { return 8; }
+};
+
+/// Registers no handler: every reply it gets reaches rpc() through the
+/// runtime. Also serves as the echo, answering each ping once.
+class RpcUser final : public ServiceRuntime {
+ public:
+  RpcUser(cluster::Cluster& cluster, net::NodeId node, bool echo = false)
+      : ServiceRuntime(cluster, "rpc_user", node, net::PortId{62}, nullptr, nullptr,
+                       Options{.partition = cluster.partition_of(node)}) {
+    if (echo) {
+      on<PingMsg>([this](const PingMsg& ping) {
+        auto pong = std::make_shared<PongMsg>();
+        pong->request_id = ping.request_id;
+        send_any(ping.reply_to, std::move(pong));
+      });
+    }
+    start();
+  }
+
+  using ServiceRuntime::rpc;
+
+  std::shared_ptr<PingMsg> ping() {
+    auto msg = std::make_shared<PingMsg>();
+    msg->reply_to = address();
+    return msg;
+  }
+};
+
+class RuntimeRpcTest : public ::testing::Test {
+ protected:
+  RuntimeRpcTest()
+      : cluster(small_cluster_spec()),
+        user(cluster, cluster.compute_nodes(net::PartitionId{0})[0]),
+        echo(cluster, cluster.compute_nodes(net::PartitionId{1})[0], true) {}
+
+  void run_s(double s) { cluster.engine().run_for(sim::from_seconds(s)); }
+
+  cluster::Cluster cluster;
+  RpcUser user;
+  RpcUser echo;
+};
+
+TEST_F(RuntimeRpcTest, ReplyWithoutHandlerReachesRpcUnknownTypeIsUnhandled) {
+  std::vector<net::Status> done;
+  user.rpc().call<PongMsg>(
+      user.ping(), echo.address(),
+      [&](net::Result<const PongMsg*> r) { done.push_back(r.status); });
+  run_s(1.0);
+  EXPECT_EQ(done, std::vector<net::Status>{net::Status::kOk});
+  EXPECT_EQ(user.counters().messages_by_type.get("test.runtime_pong"), 1u);
+  EXPECT_EQ(user.counters().messages_unhandled, 0u);
+
+  // Neither a handler nor the client waits on a ping here.
+  TestClient client(cluster, cluster.compute_nodes(net::PartitionId{1})[1]);
+  client.send_any(user.address(), user.ping());
+  run_s(1.0);
+  EXPECT_EQ(user.counters().messages_received, 2u);
+  EXPECT_EQ(user.counters().messages_unhandled, 1u);
+}
+
+TEST_F(RuntimeRpcTest, RestartDropsPendingGather) {
+  int replies = 0;
+  int done = 0;
+  user.rpc().gather<PongMsg>(
+      std::vector{std::pair{echo.address(), user.ping()}}, 5 * sim::kSecond,
+      [&](const PongMsg&, const net::Envelope&) { return ++replies > 1; },
+      [&] { ++done; });
+  // Restarted before the reply lands: the process that waited is gone.
+  user.kill();
+  user.start();
+  run_s(10.0);
+
+  EXPECT_EQ(replies, 0);
+  EXPECT_EQ(done, 0);
+  EXPECT_EQ(user.rpc().pending_calls(), 0u);
+  EXPECT_EQ(user.rpc().duplicate_replies(), 1u);
+  EXPECT_EQ(user.counters().messages_unhandled, 0u);
 }
 
 // --- one lifecycle: kill -> restart -> restore, across services ---------------
