@@ -2,9 +2,12 @@
 //
 // The paper's §5.1 evaluation fixes the heartbeat interval at 30 s and
 // reports per-component detect / diagnose / recover times; all of those are
-// functions of the protocol constants below. Everything is configurable —
-// the paper explicitly notes "the interval for sending heartbeat can be
-// configured as a system parameter" — and the benches sweep them.
+// functions of the protocol constants below. The paper notes that "the
+// interval for sending heartbeat can be configured as a system parameter".
+// FtParams holds what callers set: the benches sweep heartbeat_interval
+// (Table 1, availability), detector_sample_interval (scalability), the
+// failover policy (fault_matrix) and the topology (fault_matrix,
+// group_scale). The costs no caller varies are the named constants.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +15,43 @@
 #include "sim/time.h"
 
 namespace phoenix::kernel {
+
+/// Slack added on top of one period before a heartbeat counts as missed
+/// (absorbs network latency and scheduling jitter).
+inline constexpr sim::SimTime kHeartbeatGrace = 200 * sim::kMillisecond;
+
+/// Cost of analysing per-network heartbeat arrival to pin a single-NIC
+/// failure (pure computation over the heartbeat table).
+inline constexpr sim::SimTime kNetworkAnalysisTime = 340 * sim::kMicrosecond;
+
+/// After a probe response proves the node alive, one confirmation round
+/// before declaring a *process* failure (paper: 0.29 s total diagnosis).
+inline constexpr sim::SimTime kProcessConfirmDelay = 280 * sim::kMillisecond;
+
+/// Meta-group cross-check: a GSD that misses its predecessor's ring
+/// heartbeat probes the predecessor's node once with this short timeout
+/// (fast takeover matters more than certainty at this level).
+inline constexpr sim::SimTime kMetaProbeTimeout = 280 * sim::kMillisecond;
+
+/// Local supervised-service liveness check (waitpid-style; §5.1 Table 3
+/// reports 12 us to diagnose a dead event-service process).
+inline constexpr sim::SimTime kLocalDiagnoseTime = 12 * sim::kMicrosecond;
+
+/// fork/exec cost of restarting each daemon binary; kServiceExecTime covers
+/// the ES, DB, CS and extensions.
+inline constexpr sim::SimTime kWdExecTime = 95 * sim::kMillisecond;
+inline constexpr sim::SimTime kGsdExecTime = 1800 * sim::kMillisecond;
+inline constexpr sim::SimTime kServiceExecTime = 100 * sim::kMillisecond;
+
+/// Choosing a migration target and updating the configuration.
+inline constexpr sim::SimTime kMigrationSelectTime = 50 * sim::kMillisecond;
+
+/// Background CPU share each kernel daemon imposes on its node (fraction
+/// of one CPU). Drives the Linpack-overhead experiment.
+inline constexpr double kWdCpuShare = 0.002;
+inline constexpr double kDetectorCpuShare = 0.004;
+inline constexpr double kPpmCpuShare = 0.001;
+inline constexpr double kServerDaemonCpuShare = 0.01;  // GSD/ES/CS/DB on server nodes
 
 struct FtParams {
   using SimTime = sim::SimTime;
@@ -79,14 +119,6 @@ struct FtParams {
   /// GSD local-service supervision period (paper uses 30 s for all).
   SimTime heartbeat_interval = 30 * sim::kSecond;
 
-  /// Slack added on top of one period before a heartbeat counts as missed
-  /// (absorbs network latency and scheduling jitter).
-  SimTime heartbeat_grace = 200 * sim::kMillisecond;
-
-  /// Cost of analysing per-network heartbeat arrival to pin a single-NIC
-  /// failure (pure computation over the heartbeat table).
-  SimTime network_analysis_time = 340 * sim::kMicrosecond;
-
   /// Consecutive missed heartbeats on ONE network before declaring that
   /// network failed (node-level silence always uses one interval). Raise
   /// this on lossy fabrics so a single dropped datagram is not flagged.
@@ -98,31 +130,10 @@ struct FtParams {
   int node_probe_attempts = 3;
   SimTime node_probe_timeout = 650 * sim::kMillisecond;
 
-  /// After a probe response proves the node alive, one confirmation round
-  /// before declaring a *process* failure (paper: 0.29 s total diagnosis).
-  SimTime process_confirm_delay = 280 * sim::kMillisecond;
-
-  /// Meta-group cross-check: a GSD that misses its predecessor's ring
-  /// heartbeat probes the predecessor's node once with this short timeout
-  /// (fast takeover matters more than certainty at this level).
-  SimTime meta_probe_timeout = 280 * sim::kMillisecond;
-
-  /// Local supervised-service liveness check (waitpid-style; §5.1 Table 3
-  /// reports 12 us to diagnose a dead event-service process).
-  SimTime local_diagnose_time = 12 * sim::kMicrosecond;
-
-  /// fork/exec cost of restarting each daemon binary.
-  SimTime wd_exec_time = 95 * sim::kMillisecond;
-  SimTime gsd_exec_time = 1800 * sim::kMillisecond;
-  SimTime service_exec_time = 100 * sim::kMillisecond;  // ES / DB / CS / extensions
-
   /// Recovering state from the checkpoint service: same-node fetch vs.
   /// cross-partition federation fetch (migration path).
   SimTime checkpoint_local_fetch = 20 * sim::kMillisecond;
   SimTime checkpoint_federation_fetch = 1000 * sim::kMillisecond;
-
-  /// Choosing a migration target and updating the configuration.
-  SimTime migration_select_time = 50 * sim::kMillisecond;
 
   /// Detector sampling period (physical + application state exports).
   SimTime detector_sample_interval = 5 * sim::kSecond;
@@ -146,13 +157,6 @@ struct FtParams {
   /// Membership-layer shape (defaults to the paper's flat ring;
   /// GroupTopology::zoned(n) opts into the two-level hierarchy).
   GroupTopology topology{};
-
-  /// Background CPU share each kernel daemon imposes on its node (fraction
-  /// of one CPU). Drives the Linpack-overhead experiment.
-  double wd_cpu_share = 0.002;
-  double detector_cpu_share = 0.004;
-  double ppm_cpu_share = 0.001;
-  double server_daemon_cpu_share = 0.01;  // GSD/ES/CS/DB on server nodes
 };
 
 }  // namespace phoenix::kernel

@@ -27,7 +27,7 @@ GroupServiceDaemon::GroupServiceDaemon(cluster::Cluster& cluster, net::NodeId no
       params_(params),
       log_(log),
       supervised_(std::move(default_supervised)),
-      partition_checker_(cluster.engine(), params.heartbeat_interval,
+      partition_checker_(cluster.engine(), kHeartbeatGrace,
                          [this] { check_partition(); }),
       service_checker_(cluster.engine(), params.heartbeat_interval,
                        [this] { check_services(); }),
@@ -38,21 +38,10 @@ GroupServiceDaemon::GroupServiceDaemon(cluster::Cluster& cluster, net::NodeId no
       params.topology, directory != nullptr ? directory->partition_count() : 1);
   zone_ = zones_.zone_of(partition_);
 
-  MembershipRing::Config primary_cfg;
+  primary_ring_ =
+      std::make_unique<MembershipRing>(*this, zoned_ ? zones_.zone_scope(zone_) : 0);
   if (zoned_) {
-    primary_cfg.scope = zones_.zone_scope(zone_);
-    primary_cfg.label = "zone";
-  }
-  primary_ring_ = std::make_unique<MembershipRing>(*this, cluster, params,
-                                                   primary_cfg);
-  if (zoned_) {
-    MembershipRing::Config top_cfg;
-    top_cfg.scope = kTopRingScope;
-    top_cfg.label = "top";
-    top_cfg.recovers_partitions = false;
-    top_cfg.persists_view = false;
-    top_cfg.displaces_same_zone = true;
-    top_ring_ = std::make_unique<MembershipRing>(*this, cluster, params, top_cfg);
+    top_ring_ = std::make_unique<MembershipRing>(*this, kTopRingScope);
     churn_ = std::make_unique<ZoneChurnAggregator>(
         cluster.engine(), params.heartbeat_interval, [this](Event e) {
           if (!alive()) return;
@@ -150,14 +139,8 @@ void GroupServiceDaemon::on_service_start() {
   // (paper §5.1: detection time ~= the heartbeat interval, not a multiple
   // of it). Supervision of local services stays at the full interval — the
   // paper's Table 3 measures a 30 s detection for a dead event service.
-  const sim::SimTime scan =
-      std::max<sim::SimTime>(params_.heartbeat_grace, 50 * sim::kMillisecond);
-  partition_checker_.set_period(scan);
-  partition_checker_.start_after(interval + params_.heartbeat_grace +
-                                 1 * sim::kMillisecond);
-  primary_ring_->arm(scan,
-                     interval + params_.heartbeat_grace + 2 * sim::kMillisecond,
-                     interval);
+  partition_checker_.start_after(interval + kHeartbeatGrace + 1 * sim::kMillisecond);
+  primary_ring_->arm(interval + kHeartbeatGrace + 2 * sim::kMillisecond);
   service_checker_.set_period(interval);
   service_checker_.start_after(interval + 3 * sim::kMillisecond);
 
@@ -220,66 +203,30 @@ void GroupServiceDaemon::announce_to_partition() {
   }
 }
 
-// --- MembershipRing::Host -----------------------------------------------------
+// --- ring hooks ---------------------------------------------------------------
 
-void GroupServiceDaemon::ring_trace(sim::TraceLevel level, const std::string& text) {
-  trace(level, text);
-}
-
-void GroupServiceDaemon::ring_publish(Event e) { publish(std::move(e)); }
-
-void GroupServiceDaemon::ring_send_any(net::Address to,
-                                       std::shared_ptr<const net::Message> msg) {
-  send_any(to, std::move(msg));
-}
-
-void GroupServiceDaemon::ring_send_all_networks(
-    net::Address to, std::shared_ptr<const net::Message> msg) {
-  send_all_networks(to, std::move(msg));
-}
-
-void GroupServiceDaemon::ring_save_state(MembershipRing& ring) {
-  if (&ring == primary_ring_.get()) save_state();
-}
-
-std::vector<net::Address> GroupServiceDaemon::ring_join_targets(
-    MembershipRing& ring) {
+std::vector<net::Address> GroupServiceDaemon::join_targets(
+    const MembershipRing& ring) const {
+  // A zone ring solicits its zone. The flat ring and the top ring solicit
+  // every GSD (any partition may lead its zone, so the top ring's membership
+  // is not statically known): members forward the join to their Leader,
+  // everyone else drops it. Flat mode has one zone.
   std::vector<net::Address> targets;
-  if (directory() == nullptr) return targets;
-  if (&ring == top_ring_.get()) {
-    // The top ring's membership is not statically known (any partition may
-    // lead its zone), so solicit every GSD: current top members forward the
-    // join to the top Leader, everyone else drops it.
-    for (std::size_t p = 0; p < directory()->partition_count(); ++p) {
-      const net::PartitionId pid{static_cast<std::uint32_t>(p)};
-      if (pid == partition_) continue;
-      targets.push_back(
-          directory()->service_address(ServiceKind::kGroupService, pid));
-    }
-    return targets;
-  }
-  if (zoned_) {
-    for (net::PartitionId pid : zones_.zone_members(zone_)) {
-      if (pid == partition_) continue;
-      targets.push_back(
-          directory()->service_address(ServiceKind::kGroupService, pid));
-    }
-    return targets;
-  }
   for (std::size_t p = 0; p < directory()->partition_count(); ++p) {
     const net::PartitionId pid{static_cast<std::uint32_t>(p)};
     if (pid == partition_) continue;
+    if (!ring.is_top() && zones_.zone_of(pid) != zone_) continue;
     targets.push_back(
         directory()->service_address(ServiceKind::kGroupService, pid));
   }
   return targets;
 }
 
-void GroupServiceDaemon::ring_log_member_failure(
-    MembershipRing& ring, const MetaMember& member, bool node_dead,
-    sim::SimTime last_seen_at, sim::SimTime detected_at,
-    sim::SimTime diagnosed_at) {
-  (void)ring;
+void GroupServiceDaemon::log_member_failure(const MetaMember& member,
+                                            bool node_dead,
+                                            sim::SimTime last_seen_at,
+                                            sim::SimTime detected_at,
+                                            sim::SimTime diagnosed_at) {
   if (log_ == nullptr) return;
   const FaultKind kind =
       node_dead ? FaultKind::kNodeFailure : FaultKind::kProcessFailure;
@@ -310,10 +257,9 @@ void GroupServiceDaemon::ring_log_member_failure(
   }
 }
 
-void GroupServiceDaemon::ring_member_removed(MembershipRing& ring,
-                                             const MetaMember& member,
-                                             bool node_dead) {
-  if (&ring == top_ring_.get()) {
+void GroupServiceDaemon::member_removed(const MembershipRing& ring,
+                                        const MetaMember& member, bool node_dead) {
+  if (ring.is_top()) {
     // A zone lost its representative (leader death or displacement race).
     // The zone's own Princess promotion brings the replacement; the census
     // catches the whole-zone-death case.
@@ -338,9 +284,8 @@ void GroupServiceDaemon::ring_member_removed(MembershipRing& ring,
   publish(std::move(e));
 }
 
-void GroupServiceDaemon::ring_recover_member(MembershipRing& ring,
-                                             const MetaMember& member,
-                                             bool node_dead) {
+void GroupServiceDaemon::recover_member(const MembershipRing& ring,
+                                        const MetaMember& member, bool node_dead) {
   if (!node_dead) {
     auto restart = std::make_shared<StartServiceMsg>();
     restart->kind = ServiceKind::kGroupService;
@@ -355,9 +300,9 @@ void GroupServiceDaemon::ring_recover_member(MembershipRing& ring,
   }
 }
 
-void GroupServiceDaemon::ring_member_recovered(MembershipRing& ring,
-                                               const MetaMember& member) {
-  if (&ring == top_ring_.get()) {
+void GroupServiceDaemon::member_recovered(const MembershipRing& ring,
+                                          const MetaMember& member) {
+  if (ring.is_top()) {
     trace(sim::TraceLevel::kInfo,
           "top ring: zone " + std::to_string(zones_.zone_of(member.partition)) +
               " represented by partition " +
@@ -375,25 +320,18 @@ void GroupServiceDaemon::ring_member_recovered(MembershipRing& ring,
   }
 }
 
-void GroupServiceDaemon::ring_diagnose_network_failure(
-    MembershipRing& ring, net::NodeId node, net::NetworkId network,
-    sim::SimTime detected_at, sim::SimTime last_seen_at) {
-  (void)ring;
-  diagnose_network_failure(node, network, detected_at, "GSD", last_seen_at);
-}
-
-void GroupServiceDaemon::ring_regroup_round(MembershipRing& ring) {
+void GroupServiceDaemon::regroup_round(const MembershipRing& ring) {
   if (!zoned_ || !cluster().metrics().enabled()) return;
-  cluster().metrics().counter(&ring == top_ring_.get() ? "meta.top.regroups"
-                                                       : "meta.zone.regroups")
+  cluster().metrics().counter(ring.is_top() ? "meta.top.regroups"
+                                            : "meta.zone.regroups")
       ->inc();
 }
 
-void GroupServiceDaemon::ring_view_changed(MembershipRing& ring,
-                                           const MetaView& old_view) {
+void GroupServiceDaemon::view_changed(const MembershipRing& ring,
+                                      const MetaView& old_view) {
   if (!zoned_) return;  // flat mode: nothing layered on top of the ring
 
-  if (&ring == top_ring_.get()) {
+  if (ring.is_top()) {
     auto old_leader = old_view.leader();
     auto new_leader = ring.view().leader();
     if (new_leader &&
@@ -447,11 +385,7 @@ void GroupServiceDaemon::update_zone_role(const MetaView& old_view) {
 void GroupServiceDaemon::ensure_top_ring_active() {
   if (top_ring_ == nullptr || top_active_) return;
   top_active_ = true;
-  const sim::SimTime interval = params_.heartbeat_interval;
-  const sim::SimTime scan =
-      std::max<sim::SimTime>(params_.heartbeat_grace, 50 * sim::kMillisecond);
-  top_ring_->arm(scan, interval + params_.heartbeat_grace + 4 * sim::kMillisecond,
-                 interval);
+  top_ring_->arm(params_.heartbeat_interval + kHeartbeatGrace + 4 * sim::kMillisecond);
   if (has_seeded_top_view_) {
     // Cluster boot: the kernel seeded the zone leaders directly.
     has_seeded_top_view_ = false;
@@ -509,7 +443,7 @@ void GroupServiceDaemon::census_probe(net::PartitionId target, bool top) {
   // re-probing sooner would double-start the same partition.
   auto& next_ok = census_backoff_[target.value];
   if (now() < next_ok) return;
-  next_ok = now() + params_.gsd_exec_time + params_.checkpoint_federation_fetch +
+  next_ok = now() + kGsdExecTime + params_.checkpoint_federation_fetch +
             12 * MembershipRing::kJoinRetryPeriod;
   const net::NodeId node =
       directory()->service_node(ServiceKind::kGroupService, target);
@@ -596,12 +530,11 @@ void GroupServiceDaemon::handle_heartbeat(const HeartbeatMsg& hb,
 
 void GroupServiceDaemon::check_partition() {
   if (!alive()) return;
-  const sim::SimTime threshold = params_.heartbeat_interval + params_.heartbeat_grace;
+  const sim::SimTime threshold = params_.heartbeat_interval + kHeartbeatGrace;
   // Single-network classification may require several consecutive misses
   // (lossy-fabric tolerance); node-level silence always uses one interval.
   const sim::SimTime net_threshold =
-      params_.network_miss_rounds * params_.heartbeat_interval +
-      params_.heartbeat_grace;
+      params_.network_miss_rounds * params_.heartbeat_interval + kHeartbeatGrace;
   for (auto& [node_value, watch] : watches_) {
     const net::NodeId node{node_value};
     if (watch.diagnosing || watch.status == NodeStatus::kNodeFailed ||
@@ -636,7 +569,7 @@ void GroupServiceDaemon::diagnose_network_failure(net::NodeId node,
                                                   sim::SimTime last_seen_at) {
   // Diagnosis is pure analysis of the per-network arrival table.
   engine().schedule_after(
-      params_.network_analysis_time,
+      kNetworkAnalysisTime,
       [this, node, network, detected_at, component, last_seen_at] {
         if (!alive()) return;
         if (log_ != nullptr) {
@@ -686,7 +619,7 @@ void GroupServiceDaemon::begin_node_diagnosis(net::NodeId node) {
             // The node answered and its WD is dead. One more confirmation
             // round before declaring it.
             engine().schedule_after(
-                params_.process_confirm_delay, [this, node, detected_at, last_seen_at] {
+                kProcessConfirmDelay, [this, node, detected_at, last_seen_at] {
                   conclude_wd_process_failure(node, detected_at, last_seen_at);
                 });
           }
@@ -788,9 +721,9 @@ void GroupServiceDaemon::conclude_node_failure(net::NodeId node,
 // --- membership plumbing ------------------------------------------------------
 
 void GroupServiceDaemon::migrate_partition(const MetaMember& failed,
-                                           MembershipRing& ring) {
-  MembershipRing* r = &ring;  // rings live as long as this daemon
-  engine().schedule_after(params_.migration_select_time, [this, failed, r] {
+                                           const MembershipRing& ring) {
+  const MembershipRing* r = &ring;  // rings live as long as this daemon
+  engine().schedule_after(kMigrationSelectTime, [this, failed, r] {
     if (!alive() || directory() == nullptr) return;
     const auto targets = directory()->migration_targets(failed.partition);
     if (targets.empty()) {
@@ -894,7 +827,7 @@ void GroupServiceDaemon::check_services() {
     const sim::SimTime detected_at = now();
     service_recovering_[spec->component] = true;
     engine().schedule_after(
-        params_.local_diagnose_time,
+        kLocalDiagnoseTime,
         [this, spec = *spec, detected_at, create] {
           if (!alive()) return;
           if (log_ != nullptr && !create) {

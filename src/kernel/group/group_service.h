@@ -11,12 +11,13 @@
 //    three networks, so one loss is not fatal).
 //
 //  * Membership: the ring protocol itself (join order, Leader/Princess,
-//    ring heartbeats, regroup, fencing) lives in MembershipRing; the GSD
-//    hosts one or two instances of it depending on FtParams::GroupTopology:
+//    ring heartbeats, regroup, fencing) lives in MembershipRing, which
+//    calls this daemon directly for sends, probes, fault records and
+//    partition recovery. The GSD runs one or two rings depending on
+//    FtParams::GroupTopology:
 //
 //      - flat() (the paper's §4.3 shape): ONE ring at scope 0 spanning
-//        every partition's GSD — byte-identical on the wire to the
-//        pre-refactor implementation.
+//        every partition's GSD.
 //      - zoned(n): the partition's ZONE sub-ring (scope = zone + 1), which
 //        owns fault logging and partition recovery for its members, plus —
 //        while this GSD leads its zone — the TOP RING of zone leaders
@@ -70,8 +71,7 @@ struct SupervisedSpec {
   net::PortId port;        // mailbox port of the supervised instance
 };
 
-class GroupServiceDaemon final : public ServiceRuntime,
-                                 public MembershipRing::Host {
+class GroupServiceDaemon final : public ServiceRuntime {
  public:
   enum class NodeStatus : std::uint8_t {
     kHealthy,
@@ -171,47 +171,11 @@ class GroupServiceDaemon final : public ServiceRuntime,
   /// Heartbeats received per node (tests).
   std::uint64_t heartbeats_received() const noexcept { return heartbeats_received_; }
 
-  // -- MembershipRing::Host --------------------------------------------------
-  cluster::Cluster& ring_cluster() override { return cluster(); }
-  bool ring_alive() const override { return alive(); }
-  bool ring_running() const override { return running(); }
-  net::Address ring_address() const override { return address(); }
-  net::PartitionId ring_partition() const override { return partition_; }
-  ServiceDirectory* ring_directory() override { return directory(); }
-  std::uint64_t ring_incarnation() const override { return incarnation_; }
-  void ring_probe(net::NodeId node, sim::SimTime timeout,
-                  std::function<void(const ProbeReplyMsg*)> done) override {
-    probe(node, 1, timeout, std::move(done));
-  }
-  void ring_trace(sim::TraceLevel level, const std::string& text) override;
-  void ring_publish(Event e) override;
-  void ring_send_any(net::Address to,
-                     std::shared_ptr<const net::Message> msg) override;
-  void ring_send_all_networks(net::Address to,
-                              std::shared_ptr<const net::Message> msg) override;
-  void ring_save_state(MembershipRing& ring) override;
-  std::vector<net::Address> ring_join_targets(MembershipRing& ring) override;
-  std::uint32_t ring_zone_of(net::PartitionId p) const override {
-    return zones_.zone_of(p);
-  }
-  void ring_log_member_failure(MembershipRing& ring, const MetaMember& member,
-                               bool node_dead, sim::SimTime last_seen_at,
-                               sim::SimTime detected_at,
-                               sim::SimTime diagnosed_at) override;
-  void ring_member_removed(MembershipRing& ring, const MetaMember& member,
-                           bool node_dead) override;
-  void ring_recover_member(MembershipRing& ring, const MetaMember& member,
-                           bool node_dead) override;
-  void ring_member_recovered(MembershipRing& ring,
-                             const MetaMember& member) override;
-  void ring_diagnose_network_failure(MembershipRing& ring, net::NodeId node,
-                                     net::NetworkId network,
-                                     sim::SimTime detected_at,
-                                     sim::SimTime last_seen_at) override;
-  void ring_view_changed(MembershipRing& ring, const MetaView& old_view) override;
-  void ring_regroup_round(MembershipRing& ring) override;
-
  private:
+  // The ring protocol runs inside the GSD: it sends, probes, traces and
+  // publishes as this daemon, and calls the ring hooks below.
+  friend class MembershipRing;
+
   void on_service_start() override;
   void on_service_stop() override;
   /// The checkpointed state is the primary ring's view (paired with the
@@ -250,7 +214,32 @@ class GroupServiceDaemon final : public ServiceRuntime,
   // -- membership plumbing --
   MembershipRing* ring_for(std::uint32_t scope);
   void fetch_state_and_join();
-  void migrate_partition(const MetaMember& failed, MembershipRing& ring);
+  void migrate_partition(const MetaMember& failed, const MembershipRing& ring);
+
+  // -- ring hooks (called by MembershipRing) --
+  /// Peers to solicit with MetaJoinMsg when rejoining `ring`.
+  std::vector<net::Address> join_targets(const MembershipRing& ring) const;
+  /// Journals the fault records for a member a flat or zone ring removed:
+  /// the GSD record, plus ES/DB/CS records when the server node died.
+  void log_member_failure(const MetaMember& member, bool node_dead,
+                          sim::SimTime last_seen_at, sim::SimTime detected_at,
+                          sim::SimTime diagnosed_at);
+  /// Publishes the removal event (flat/zone: kNodeFailed / kServiceFailed
+  /// with the GSD attrs; top ring: the zone-leader-lost event).
+  void member_removed(const MembershipRing& ring, const MetaMember& member,
+                      bool node_dead);
+  /// Recovers a removed member's partition: restart in place or migrate.
+  /// Flat and zone rings only.
+  void recover_member(const MembershipRing& ring, const MetaMember& member,
+                      bool node_dead);
+  /// A view change introduced a new or re-incarnated member: closes its
+  /// fault record (first applier wins) and publishes the recovery event.
+  void member_recovered(const MembershipRing& ring, const MetaMember& member);
+  /// The view changed (applied, founded or adopted): leadership transitions
+  /// and churn aggregation for the zone layer.
+  void view_changed(const MembershipRing& ring, const MetaView& old_view);
+  /// A regroup solicitation round started (metrics).
+  void regroup_round(const MembershipRing& ring);
 
   // -- zone hierarchy --
   /// Reconciles this GSD's role after a primary-ring view change: a newly

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "kernel/group/group_service.h"
 #include "kernel/ppm/process_manager.h"
 
 namespace phoenix::kernel {
@@ -20,48 +21,46 @@ constexpr sim::SimTime kRegroupProbeTimeout = 280 * sim::kMillisecond;
 constexpr sim::SimTime kRegroupRetryDelay = 2 * sim::kSecond;
 }  // namespace
 
-MembershipRing::MembershipRing(Host& host, cluster::Cluster& cluster,
-                               const FtParams& params, Config config)
-    : host_(host),
-      cluster_(cluster),
-      params_(params),
-      config_(std::move(config)),
-      meta_checker_(cluster.engine(), params.heartbeat_interval,
-                    [this] { check_meta(); }),
-      ring_beater_(cluster.engine(), params.heartbeat_interval,
+MembershipRing::MembershipRing(GroupServiceDaemon& gsd, std::uint32_t scope)
+    : gsd_(gsd),
+      scope_(scope),
+      params_(gsd.params_),
+      meta_checker_(gsd.engine(), kHeartbeatGrace, [this] { check_meta(); }),
+      ring_beater_(gsd.engine(), params_.heartbeat_interval,
                    [this] { send_ring_heartbeat(); }),
-      join_retrier_(cluster.engine(), kJoinRetryPeriod, [this] { try_rejoin(); }) {}
+      join_retrier_(gsd.engine(), kJoinRetryPeriod, [this] { try_rejoin(); }) {}
 
 std::uint64_t MembershipRing::epoch_floor() const noexcept {
   return params_.failover.mode == FtParams::FailoverPolicy::Mode::kQuorum ? 1 : 0;
 }
 
-net::Address MembershipRing::ppm_at(net::NodeId node) const {
-  return {node, port_of(ServiceKind::kProcessManager)};
+sim::SimTime MembershipRing::now() const { return gsd_.now(); }
+
+const char* MembershipRing::label() const noexcept {
+  if (scope_ == 0) return "meta";
+  return is_top() ? "top" : "zone";
 }
 
 void MembershipRing::publish_scoped(Event e) {
-  if (config_.scope != 0) {
-    e.attrs.emplace_back("scope", std::to_string(config_.scope));
-  }
-  host_.ring_publish(std::move(e));
+  if (scope_ != 0) e.attrs.emplace_back("scope", std::to_string(scope_));
+  gsd_.publish(std::move(e));
 }
 
 bool MembershipRing::is_ring_leader() const {
   auto l = view_.leader();
-  return l && l->partition == host_.ring_partition() && joined_;
+  return l && l->partition == gsd_.partition() && joined_;
 }
 
 bool MembershipRing::is_ring_princess() const {
   auto p = view_.princess();
-  return p && p->partition == host_.ring_partition() && joined_;
+  return p && p->partition == gsd_.partition() && joined_;
 }
 
 // --- lifecycle ---------------------------------------------------------------
 
 MetaView MembershipRing::replace_view(MetaView view) {
   MetaView old = std::exchange(view_, std::move(view));
-  self_index_ = view_.index_of(host_.ring_partition());
+  self_index_ = view_.index_of(gsd_.partition());
   return old;
 }
 
@@ -93,19 +92,18 @@ void MembershipRing::found(std::uint64_t view_id, bool persist) {
   // instance that never recovered a view must still stamp nonzero epochs
   // under quorum fencing).
   v.epoch = std::max(view_.epoch, epoch_floor());
-  v.members = {MetaMember{host_.ring_partition(), host_.ring_address(),
-                          host_.ring_incarnation()}};
+  v.members = {MetaMember{gsd_.partition(), gsd_.address(), gsd_.incarnation()}};
   const MetaView old = replace_view(std::move(v));
   joined_ = true;
-  if (persist && config_.persists_view) host_.ring_save_state(*this);
-  host_.ring_view_changed(*this, old);
+  if (persist && !is_top()) gsd_.save_state();
+  gsd_.view_changed(*this, old);
 }
 
 void MembershipRing::adopt_recovered_view(MetaView recovered) {
   // The recovered view predates our death; adopt it as a hint for the
   // membership we are rejoining (addresses of live members).
   if (recovered.view_id >= view_.view_id) {
-    recovered.remove(host_.ring_partition());  // our old entry is stale
+    recovered.remove(gsd_.partition());  // our old entry is stale
     // A checkpoint written before quorum fencing was enabled may carry
     // epoch 0; re-apply the floor so our stamps stay nonzero.
     recovered.epoch = std::max(recovered.epoch, epoch_floor());
@@ -122,15 +120,12 @@ void MembershipRing::reset_runtime_state(std::size_t network_count) {
   futile_join_attempts_ = 0;
 }
 
-void MembershipRing::arm(sim::SimTime scan_period, sim::SimTime checker_delay,
-                         sim::SimTime beat_period) {
-  meta_checker_.set_period(scan_period);
-  ring_beater_.set_period(beat_period);
+void MembershipRing::arm(sim::SimTime checker_delay) {
   meta_checker_.start_after(checker_delay);
   // Jittered first beat so co-booted members do not phase-lock their ring
-  // traffic (same RNG draw position as the original GSD start sequence).
+  // traffic.
   ring_beater_.start_after(
-      cluster_.engine().rng().uniform_int(1, 10 * sim::kMillisecond));
+      gsd_.engine().rng().uniform_int(1, 10 * sim::kMillisecond));
 }
 
 void MembershipRing::begin_join_search(sim::SimTime delay) {
@@ -146,19 +141,19 @@ void MembershipRing::stop() {
 // --- ring heartbeats and predecessor monitoring ------------------------------
 
 void MembershipRing::send_ring_heartbeat() {
-  if (!host_.ring_alive() || !joined_ || view_.members.size() < 2) return;
+  if (!gsd_.alive() || !joined_ || view_.members.size() < 2) return;
   auto succ = successor();
   if (!succ) return;
   auto hb = std::make_shared<RingHeartbeatMsg>();
-  hb->from_partition = host_.ring_partition();
+  hb->from_partition = gsd_.partition();
   hb->view_id = view_.view_id;
   hb->seq = ++ring_seq_;
-  hb->scope = config_.scope;
-  host_.ring_send_all_networks(succ->gsd, std::move(hb));
+  hb->scope = scope_;
+  gsd_.send_all_networks(succ->gsd, std::move(hb));
 }
 
 void MembershipRing::check_meta() {
-  if (!host_.ring_alive() || !joined_ || view_.members.size() < 2 ||
+  if (!gsd_.alive() || !joined_ || view_.members.size() < 2 ||
       pred_diagnosing_ || regroup_.has_value()) {
     return;
   }
@@ -171,7 +166,7 @@ void MembershipRing::check_meta() {
     std::fill(pred_net_failed_.begin(), pred_net_failed_.end(), false);
     return;
   }
-  const sim::SimTime threshold = params_.heartbeat_interval + params_.heartbeat_grace;
+  const sim::SimTime threshold = params_.heartbeat_interval + kHeartbeatGrace;
   std::size_t fresh = 0;
   for (sim::SimTime last : pred_last_per_net_) {
     if (now() - last <= threshold) ++fresh;
@@ -181,32 +176,30 @@ void MembershipRing::check_meta() {
   if (fresh == 0) {
     // Every network silent at once is exactly the asymmetric-partition shape
     // that can split-brain a Princess takeover — flag it before probing.
-    host_.ring_trace(
-        sim::TraceLevel::kError,
-        config_.label + " predecessor partition " +
-            std::to_string(pred->partition.value) +
-            " silent on all networks; split-brain suspect, probing");
+    gsd_.trace(sim::TraceLevel::kError,
+               std::string(label()) + " predecessor partition " +
+                   std::to_string(pred->partition.value) +
+                   " silent on all networks; split-brain suspect, probing");
     pred_diagnosing_ = true;
     const sim::SimTime last_seen_at =
         *std::max_element(pred_last_per_net_.begin(), pred_last_per_net_.end());
-    host_.ring_probe(pred->gsd.node, params_.meta_probe_timeout,
-                     [this, member = *pred, detected_at = now(), last_seen_at,
-                      exonerations = pred_exonerations_](const ProbeReplyMsg* reply) {
-                       // A heartbeat since the probe went out voids it.
-                       if (exonerations != pred_exonerations_) return;
-                       pred_probe_done(member, detected_at, last_seen_at, reply);
-                     });
+    gsd_.probe(pred->gsd.node, 1, kMetaProbeTimeout,
+               [this, member = *pred, detected_at = now(), last_seen_at,
+                exonerations = pred_exonerations_](const ProbeReplyMsg* reply) {
+                 // A heartbeat since the probe went out voids it.
+                 if (exonerations != pred_exonerations_) return;
+                 pred_probe_done(member, detected_at, last_seen_at, reply);
+               });
     return;
   }
   const sim::SimTime net_threshold =
-      params_.network_miss_rounds * params_.heartbeat_interval +
-      params_.heartbeat_grace;
+      params_.network_miss_rounds * params_.heartbeat_interval + kHeartbeatGrace;
   for (std::size_t n = 0; n < pred_last_per_net_.size(); ++n) {
     if (now() - pred_last_per_net_[n] > net_threshold && !pred_net_failed_[n]) {
       pred_net_failed_[n] = true;
-      host_.ring_diagnose_network_failure(
-          *this, pred->gsd.node, net::NetworkId{static_cast<std::uint8_t>(n)},
-          now(), pred_last_per_net_[n]);
+      gsd_.diagnose_network_failure(
+          pred->gsd.node, net::NetworkId{static_cast<std::uint8_t>(n)}, now(),
+          "GSD", pred_last_per_net_[n]);
     }
   }
 }
@@ -229,8 +222,8 @@ void MembershipRing::pred_probe_done(const MetaMember& pred, sim::SimTime detect
   }
   // The node answered but its GSD is dead: one confirmation round
   // before declaring the GSD process dead and reforming the ring.
-  cluster_.engine().schedule_after(
-      params_.process_confirm_delay, [this, pred, detected_at, last_seen_at] {
+  gsd_.engine().schedule_after(
+      kProcessConfirmDelay, [this, pred, detected_at, last_seen_at] {
         conclude_meta_failure(pred, /*node_dead=*/false, detected_at, last_seen_at);
       });
 }
@@ -267,7 +260,7 @@ void MembershipRing::handle_ring_heartbeat(const RingHeartbeatMsg& ring,
 void MembershipRing::conclude_meta_failure(const MetaMember& pred, bool node_dead,
                                            sim::SimTime detected_at,
                                            sim::SimTime last_seen_at) {
-  if (!host_.ring_alive()) return;
+  if (!gsd_.alive()) return;
   pred_diagnosing_ = false;
   // Only remove the exact member we diagnosed: if the partition's entry was
   // replaced in the meantime (planned handover, concurrent recovery), the
@@ -294,17 +287,17 @@ void MembershipRing::conclude_meta_failure(const MetaMember& pred, bool node_dea
 void MembershipRing::commit_member_removal(const MetaMember& pred, bool node_dead,
                                            sim::SimTime detected_at,
                                            sim::SimTime last_seen_at) {
-  if (!host_.ring_alive()) return;
+  if (!gsd_.alive()) return;
   // Re-checked here because a regroup round may have elapsed since the
   // diagnosis (no-op on the unilateral path, which enters synchronously).
   const auto idx = view_.index_of(pred.partition);
   if (!idx || !(view_.members[*idx] == pred)) return;
   const sim::SimTime diagnosed_at = now();
-  if (config_.recovers_partitions) {
-    host_.ring_log_member_failure(*this, pred, node_dead, last_seen_at,
-                                  detected_at, diagnosed_at);
+  if (!is_top()) {
+    gsd_.log_member_failure(pred, node_dead, last_seen_at, detected_at,
+                            diagnosed_at);
   }
-  host_.ring_member_removed(*this, pred, node_dead);
+  gsd_.member_removed(*this, pred, node_dead);
 
   // View change: drop the failed member and tell the survivors.
   tombstones_[pred.partition.value] =
@@ -322,14 +315,12 @@ void MembershipRing::commit_member_removal(const MetaMember& pred, bool node_dea
     // Tell the deposed member directly (it is no longer in the broadcast
     // set): a merely-slow suspect that was legitimately removed steps down
     // the moment this arrives and rejoins at the tail.
-    host_.ring_send_any(pred.gsd, std::move(msg));
+    gsd_.send_any(pred.gsd, std::move(msg));
   }
 
   // Recovery of the failed partition (membership-only rings leave this to
   // the zone layer's census).
-  if (config_.recovers_partitions) {
-    host_.ring_recover_member(*this, pred, node_dead);
-  }
+  if (!is_top()) gsd_.recover_member(*this, pred, node_dead);
 }
 
 // --- quorum regroup (FailoverPolicy::quorum()) --------------------------------
@@ -352,14 +343,14 @@ void MembershipRing::begin_regroup(const MetaMember& suspect, bool node_dead,
   r.detected_at = detected_at;
   r.last_seen_at = last_seen_at;
   regroup_ = std::move(r);
-  host_.ring_trace(sim::TraceLevel::kWarn,
-                   "regroup: soliciting concurrence to remove partition " +
-                       std::to_string(suspect.partition.value));
+  gsd_.trace(sim::TraceLevel::kWarn,
+             "regroup: soliciting concurrence to remove partition " +
+                 std::to_string(suspect.partition.value));
   solicit_regroup_round();
 }
 
 void MembershipRing::solicit_regroup_round() {
-  if (!host_.ring_alive() || !regroup_) return;
+  if (!gsd_.alive() || !regroup_) return;
   Regroup& r = *regroup_;
   // The suspect may have been removed or replaced while we waited (another
   // member's view change, a completed rejoin): drop the stale regroup.
@@ -377,27 +368,26 @@ void MembershipRing::solicit_regroup_round() {
   r.voters.clear();
   ++r.rounds_run;
   ++regroup_rounds_;
-  host_.ring_regroup_round(*this);
+  gsd_.regroup_round(*this);
 
   for (const MetaMember& m : view_.members) {
-    if (m.partition == host_.ring_partition() ||
-        m.partition == r.suspect.partition) {
+    if (m.partition == gsd_.partition() || m.partition == r.suspect.partition) {
       continue;
     }
     auto msg = std::make_shared<RegroupProposeMsg>();
-    msg->initiator = host_.ring_partition();
+    msg->initiator = gsd_.partition();
     msg->suspect = r.suspect.partition;
     msg->suspect_incarnation = r.suspect.incarnation;
     msg->view_id = view_.view_id;
     msg->round_id = r.round_id;
-    msg->reply_to = host_.ring_address();
-    msg->scope = config_.scope;
-    host_.ring_send_all_networks(m.gsd, std::move(msg));
+    msg->reply_to = gsd_.address();
+    msg->scope = scope_;
+    gsd_.send_all_networks(m.gsd, std::move(msg));
   }
 
   const std::uint64_t round = r.round_id;
-  cluster_.engine().schedule_after(kRegroupRoundTimeout, [this, round] {
-    if (host_.ring_alive() && regroup_ && regroup_->round_id == round &&
+  gsd_.engine().schedule_after(kRegroupRoundTimeout, [this, round] {
+    if (gsd_.alive() && regroup_ && regroup_->round_id == round &&
         !regroup_->done) {
       evaluate_regroup(/*round_over=*/true);
     }
@@ -429,10 +419,10 @@ void MembershipRing::evaluate_regroup(bool round_over) {
     r.done = true;
     const Regroup done = r;
     regroup_.reset();
-    host_.ring_trace(sim::TraceLevel::kWarn,
-                     "regroup: quorum reached (" + std::to_string(done.concur) +
-                         "/" + std::to_string(needed) + "), removing partition " +
-                         std::to_string(done.suspect.partition.value));
+    gsd_.trace(sim::TraceLevel::kWarn,
+               "regroup: quorum reached (" + std::to_string(done.concur) + "/" +
+                   std::to_string(needed) + "), removing partition " +
+                   std::to_string(done.suspect.partition.value));
     commit_member_removal(done.suspect, done.node_dead, done.detected_at,
                           done.last_seen_at);
     return;
@@ -448,7 +438,7 @@ void MembershipRing::regroup_quorum_lost() {
   Regroup& r = *regroup_;
   r.done = true;
   ++quorum_losses_;
-  host_.ring_trace(
+  gsd_.trace(
       sim::TraceLevel::kError,
       "regroup: quorum lost (round " + std::to_string(r.rounds_run) +
           "); suspect partition " + std::to_string(r.suspect.partition.value) +
@@ -460,8 +450,8 @@ void MembershipRing::regroup_quorum_lost() {
              {"round", std::to_string(r.rounds_run)}};
   publish_scoped(std::move(e));
 
-  cluster_.engine().schedule_after(kRegroupRetryDelay, [this, round = r.round_id] {
-    if (host_.ring_alive() && regroup_ && regroup_->round_id == round) {
+  gsd_.engine().schedule_after(kRegroupRetryDelay, [this, round = r.round_id] {
+    if (gsd_.alive() && regroup_ && regroup_->round_id == round) {
       solicit_regroup_round();
     }
   });
@@ -472,9 +462,9 @@ void MembershipRing::cancel_regroup(bool exonerated) {
   const MetaMember suspect = regroup_->suspect;
   regroup_.reset();
   if (exonerated) {
-    host_.ring_trace(sim::TraceLevel::kInfo,
-                     "regroup: suspect partition " +
-                         std::to_string(suspect.partition.value) + " exonerated");
+    gsd_.trace(sim::TraceLevel::kInfo,
+               "regroup: suspect partition " +
+                   std::to_string(suspect.partition.value) + " exonerated");
     if (suspect.partition == pred_partition_) {
       // Fresh grace window: the suspect must go silent for a full period
       // again before another regroup starts.
@@ -490,7 +480,7 @@ void MembershipRing::handle_regroup_propose(const RegroupProposeMsg& proposal) {
   if (proposal.round_id == last_round) return;
   last_round = proposal.round_id;
 
-  if (proposal.suspect == host_.ring_partition()) {
+  if (proposal.suspect == gsd_.partition()) {
     // We are the suspect and evidently alive: dissent.
     cast_vote(proposal.reply_to, proposal.round_id, false);
     return;
@@ -506,8 +496,7 @@ void MembershipRing::handle_regroup_propose(const RegroupProposeMsg& proposal) {
   // Fresh first-hand evidence: if the suspect is our own ring predecessor
   // and its heartbeats are current, it is alive — no probe needed.
   if (suspect.partition == pred_partition_) {
-    const sim::SimTime threshold =
-        params_.heartbeat_interval + params_.heartbeat_grace;
+    const sim::SimTime threshold = params_.heartbeat_interval + kHeartbeatGrace;
     for (sim::SimTime seen : pred_last_per_net_) {
       if (now() - seen <= threshold) {
         cast_vote(proposal.reply_to, proposal.round_id, false);
@@ -519,24 +508,23 @@ void MembershipRing::handle_regroup_propose(const RegroupProposeMsg& proposal) {
   // Independent probe over OUR links — the initiator may sit behind a
   // one-way blackhole that we do not. Alive GSD => dissent; node up but GSD
   // dead, or silent from our side too => concur.
-  host_.ring_probe(
-      suspect.gsd.node, kRegroupProbeTimeout,
-      [this, reply_to = proposal.reply_to,
-       round = proposal.round_id](const ProbeReplyMsg* reply) {
-        cast_vote(reply_to, round, reply == nullptr || !reply->gsd_running);
-      });
+  gsd_.probe(suspect.gsd.node, 1, kRegroupProbeTimeout,
+             [this, reply_to = proposal.reply_to,
+              round = proposal.round_id](const ProbeReplyMsg* reply) {
+               cast_vote(reply_to, round, reply == nullptr || !reply->gsd_running);
+             });
 }
 
 void MembershipRing::cast_vote(net::Address reply_to, std::uint64_t round_id,
                                bool concur) {
-  if (!host_.ring_alive()) return;
+  if (!gsd_.alive()) return;
   ++regroup_votes_cast_;
   auto vote = std::make_shared<RegroupVoteMsg>();
-  vote->voter = host_.ring_partition();
+  vote->voter = gsd_.partition();
   vote->round_id = round_id;
   vote->concur = concur;
-  vote->scope = config_.scope;
-  host_.ring_send_any(reply_to, std::move(vote));
+  vote->scope = scope_;
+  gsd_.send_any(reply_to, std::move(vote));
 }
 
 void MembershipRing::handle_regroup_vote(const RegroupVoteMsg& vote) {
@@ -545,8 +533,7 @@ void MembershipRing::handle_regroup_vote(const RegroupVoteMsg& vote) {
   // One counted vote per current view member per round: neither we nor the
   // suspect were solicited, a non-member has no say, and a retried or
   // multi-path duplicate must not be double-counted toward quorum.
-  if (vote.voter == host_.ring_partition() ||
-      vote.voter == r.suspect.partition) {
+  if (vote.voter == gsd_.partition() || vote.voter == r.suspect.partition) {
     return;
   }
   if (!view_.index_of(vote.voter)) return;
@@ -571,14 +558,14 @@ void MembershipRing::send_fence() {
   // ring's watermark independent under a zoned topology.
   auto fence = std::make_shared<EpochFenceMsg>();
   fence->epoch = view_.epoch;
-  fence->scope = config_.scope;
-  for (const auto& node : cluster_.nodes()) {
-    host_.ring_send_any(ppm_at(node.id()), fence);
+  fence->scope = scope_;
+  for (const auto& node : gsd_.cluster().nodes()) {
+    gsd_.send_any(gsd_.ppm_at(node.id()), fence);
   }
-  if (host_.ring_directory() != nullptr) {
-    for (std::size_t p = 0; p < host_.ring_directory()->partition_count(); ++p) {
-      host_.ring_send_any(
-          host_.ring_directory()->service_address(
+  if (gsd_.directory() != nullptr) {
+    for (std::size_t p = 0; p < gsd_.directory()->partition_count(); ++p) {
+      gsd_.send_any(
+          gsd_.directory()->service_address(
               ServiceKind::kCheckpointService,
               net::PartitionId{static_cast<std::uint32_t>(p)}),
           fence);
@@ -615,23 +602,21 @@ void MembershipRing::apply_view(MetaView incoming) {
     return it != tombstones_.end() && m.incarnation <= it->second;
   });
 
-  host_.ring_trace(sim::TraceLevel::kInfo,
-                   (config_.scope != 0 ? config_.label + ": " : "") +
-                       "applying view " + std::to_string(incoming.view_id) +
-                       " with " + std::to_string(incoming.members.size()) +
-                       " members");
+  gsd_.trace(sim::TraceLevel::kInfo,
+             (scope_ != 0 ? std::string(label()) + ": " : "") + "applying view " +
+                 std::to_string(incoming.view_id) + " with " +
+                 std::to_string(incoming.members.size()) + " members");
   const MetaView old = replace_view(std::move(incoming));
 
   joined_ = false;
   for (const MetaMember& m : view_.members) {
-    if (m.partition == host_.ring_partition() &&
-        m.incarnation == host_.ring_incarnation()) {
+    if (m.partition == gsd_.partition() && m.incarnation == gsd_.incarnation()) {
       joined_ = true;
     }
   }
   if (joined_) {
     join_retrier_.stop();
-  } else if (host_.ring_running()) {
+  } else if (gsd_.running()) {
     // Expelled by someone's view change (e.g. a stale diagnosis): get back
     // in rather than silently running outside the ring.
     join_retrier_.start_after(kJoinRetryPeriod);
@@ -648,37 +633,37 @@ void MembershipRing::apply_view(MetaView incoming) {
   }
 
   // A member that is new or re-incarnated relative to the old view means a
-  // recovery completed; let the host close its fault record.
+  // recovery completed; let the GSD close its fault record.
   const MetaViewDiff diff = view_.diff_from(old);
-  for (const MetaMember& m : diff.changed) host_.ring_member_recovered(*this, m);
+  for (const MetaMember& m : diff.changed) gsd_.member_recovered(*this, m);
 
-  if (config_.persists_view) host_.ring_save_state(*this);
-  host_.ring_view_changed(*this, old);
+  if (!is_top()) gsd_.save_state();
+  gsd_.view_changed(*this, old);
 }
 
 std::shared_ptr<const ViewChangeMsg> MembershipRing::broadcast_view() {
   // One immutable message for the whole fan-out: receivers only read it.
   auto msg = std::make_shared<ViewChangeMsg>();
   msg->view = view_;
-  msg->scope = config_.scope;
+  msg->scope = scope_;
   for (const MetaMember& m : view_.members) {
-    if (m.partition != host_.ring_partition()) host_.ring_send_any(m.gsd, msg);
+    if (m.partition != gsd_.partition()) gsd_.send_any(m.gsd, msg);
   }
   return msg;
 }
 
 void MembershipRing::handle_join(const MetaJoinMsg& join) {
   const MetaMember& member = join.member;
-  if (member.partition == host_.ring_partition()) return;
+  if (member.partition == gsd_.partition()) return;
 
   if (!is_ring_leader()) {
     // Forward to the current leader.
     auto leader = view_.leader();
-    if (leader && leader->partition != host_.ring_partition()) {
+    if (leader && leader->partition != gsd_.partition()) {
       auto fwd = std::make_shared<MetaJoinMsg>();
       fwd->member = member;
-      fwd->scope = config_.scope;
-      host_.ring_send_any(leader->gsd, std::move(fwd));
+      fwd->scope = scope_;
+      gsd_.send_any(leader->gsd, std::move(fwd));
     }
     return;
   }
@@ -693,8 +678,8 @@ void MembershipRing::handle_join(const MetaJoinMsg& join) {
       // Duplicate join: re-send the current view so the joiner learns it.
       auto msg = std::make_shared<ViewChangeMsg>();
       msg->view = view_;
-      msg->scope = config_.scope;
-      host_.ring_send_any(member.gsd, std::move(msg));
+      msg->scope = scope_;
+      gsd_.send_any(member.gsd, std::move(msg));
       return;
     }
   }
@@ -705,10 +690,10 @@ void MembershipRing::handle_join(const MetaJoinMsg& join) {
   // displaces its zone's stale entry; the displaced member is told
   // directly so it stops acting as the zone's representative.
   std::vector<MetaMember> displaced;
-  if (config_.displaces_same_zone) {
-    const std::uint32_t zone = host_.ring_zone_of(member.partition);
+  if (is_top()) {
+    const std::uint32_t zone = gsd_.zones().zone_of(member.partition);
     for (const MetaMember& m : next.members) {
-      if (host_.ring_zone_of(m.partition) == zone) displaced.push_back(m);
+      if (gsd_.zones().zone_of(m.partition) == zone) displaced.push_back(m);
     }
     for (const MetaMember& m : displaced) next.remove(m.partition);
   }
@@ -718,14 +703,14 @@ void MembershipRing::handle_join(const MetaJoinMsg& join) {
   const auto msg = broadcast_view();
   // The joiner may not be in our broadcast path if apply_view dropped it;
   // send the view directly too.
-  host_.ring_send_any(member.gsd, msg);
+  gsd_.send_any(member.gsd, msg);
   for (const MetaMember& m : displaced) {
-    host_.ring_send_any(m.gsd, msg);
+    gsd_.send_any(m.gsd, msg);
   }
 }
 
 void MembershipRing::try_rejoin() {
-  if (!host_.ring_alive() || joined_ || host_.ring_directory() == nullptr) return;
+  if (!gsd_.alive() || joined_ || gsd_.directory() == nullptr) return;
   if (++futile_join_attempts_ > 10) {
     // Nobody answered ten rounds of joins: the ring is gone (or we are the
     // first member up). Found a fresh singleton group; others will join it.
@@ -733,11 +718,10 @@ void MembershipRing::try_rejoin() {
     return;
   }
   auto join = std::make_shared<MetaJoinMsg>();
-  join->member = MetaMember{host_.ring_partition(), host_.ring_address(),
-                            host_.ring_incarnation()};
-  join->scope = config_.scope;
-  for (const net::Address& target : host_.ring_join_targets(*this)) {
-    host_.ring_send_any(target, join);
+  join->member = MetaMember{gsd_.partition(), gsd_.address(), gsd_.incarnation()};
+  join->scope = scope_;
+  for (const net::Address& target : gsd_.join_targets(*this)) {
+    gsd_.send_any(target, join);
   }
 }
 

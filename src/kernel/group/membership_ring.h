@@ -1,43 +1,39 @@
-// Reusable ring-membership protocol, extracted from the GSD.
+// The meta-group ring protocol (paper §4.3), run inside the GSD.
 //
-// One MembershipRing instance runs the paper's §4.3 meta-group protocol
-// for ONE ring: members kept in join order ([0]=Leader, [1]=Princess),
-// ring heartbeats to the successor over all networks, predecessor
-// monitoring with probe-based diagnosis, view dissemination, tail rejoin,
-// and — under FailoverPolicy::quorum() — regroup concurrence rounds and
-// per-ring epoch fencing.
+// One MembershipRing instance runs the protocol for ONE ring: members kept
+// in join order ([0]=Leader, [1]=Princess), ring heartbeats to the successor
+// over all networks, predecessor monitoring with probe-based diagnosis, view
+// dissemination, tail rejoin, and — under FailoverPolicy::quorum() — regroup
+// concurrence rounds and per-ring epoch fencing.
 //
-// The flat paper topology is exactly one ring at scope 0; the zoned
-// topology (zone_ring.h) instantiates one ring per zone plus a top ring of
-// zone leaders. Everything environment-specific — who hosts the ring, how
-// a removed member's partition is recovered, where fault records and
-// events go, which peers to solicit when rejoining — is behind the Host
-// interface, implemented by GroupServiceDaemon. The protocol itself
-// (message order, timer cadence, RNG draws) is a verbatim extraction of
-// the original GSD code, so a scope-0 ring is byte-identical on the wire
-// to the pre-refactor implementation.
+// A GSD is the only host a ring has. It runs one flat ring at scope 0, or
+// under a zoned topology its zone's sub-ring (scope zone + 1) plus, while it
+// leads its zone, the top ring of zone leaders (scope kTopRingScope,
+// zone_ring.h). The ring calls its GSD directly: to send, probe, trace and
+// publish, and for the fault records, partition recovery, join targets and
+// zone bookkeeping a membership change implies. The scope alone sets the
+// ring's role: the top ring is membership-only (no fault records, no
+// partition recovery), never checkpoints its view, and lets a joiner
+// displace its zone's stale entry.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/cluster.h"
 #include "kernel/event/event.h"
 #include "kernel/ft_params.h"
 #include "kernel/group/meta_group.h"
-#include "kernel/service_kind.h"
+#include "kernel/group/zone_ring.h"
 #include "net/message.h"
 #include "sim/engine.h"
-#include "sim/trace.h"
 
 namespace phoenix::kernel {
 
-struct ProbeReplyMsg;  // kernel/ppm/process_manager.h (included by the .cpp)
+class GroupServiceDaemon;  // kernel/group/group_service.h (included by the .cpp)
+struct ProbeReplyMsg;      // kernel/ppm/process_manager.h (included by the .cpp)
 
 class MembershipRing {
  public:
@@ -45,102 +41,22 @@ class MembershipRing {
   /// member founds a fresh singleton ring.
   static constexpr sim::SimTime kJoinRetryPeriod = 2 * sim::kSecond;
 
-  struct Config {
-    /// Wire scope tag (0 = the legacy flat meta-group; zone rings use
-    /// zone + 1; the top ring uses kTopRingScope).
-    std::uint32_t scope = 0;
-    /// Trace prefix; "meta" reproduces the flat-mode trace text verbatim.
-    std::string label = "meta";
-    /// Whether a removal recovers the failed member's partition (restart in
-    /// place / migrate) and journals GSD+ES/DB/CS fault records. True for
-    /// the flat ring and zone rings; false for the membership-only top ring.
-    bool recovers_partitions = true;
-    /// Whether view changes are checkpointed through the host. The top
-    /// ring's view is reconstructible from the zone leaders, so only the
-    /// primary ring persists.
-    bool persists_view = true;
-    /// Leader-side join rule: a joiner displaces any stale member from the
-    /// same zone (top ring only — one representative per zone).
-    bool displaces_same_zone = false;
-  };
-
-  /// Environment the ring runs in, implemented by the GSD. The ring_ name
-  /// prefix keeps these distinct from the daemon's own protected API.
-  class Host {
-   public:
-    virtual ~Host() = default;
-    virtual cluster::Cluster& ring_cluster() = 0;
-    virtual bool ring_alive() const = 0;
-    virtual bool ring_running() const = 0;
-    virtual net::Address ring_address() const = 0;
-    virtual net::PartitionId ring_partition() const = 0;
-    virtual ServiceDirectory* ring_directory() = 0;
-    virtual std::uint64_t ring_incarnation() const = 0;
-    /// Probes `node`'s PPM once over every network and completes `done` with
-    /// the reply, or with nullptr when none came within `timeout`. Not called
-    /// back while the host is dead.
-    virtual void ring_probe(net::NodeId node, sim::SimTime timeout,
-                            std::function<void(const ProbeReplyMsg*)> done) = 0;
-    virtual void ring_trace(sim::TraceLevel level, const std::string& text) = 0;
-    virtual void ring_publish(Event e) = 0;
-    virtual void ring_send_any(net::Address to,
-                               std::shared_ptr<const net::Message> msg) = 0;
-    virtual void ring_send_all_networks(net::Address to,
-                                        std::shared_ptr<const net::Message> msg) = 0;
-    /// Persist the ring's view (primary ring: the runtime checkpoint path).
-    virtual void ring_save_state(MembershipRing& ring) = 0;
-    /// Peers to solicit with MetaJoinMsg when rejoining this ring.
-    virtual std::vector<net::Address> ring_join_targets(MembershipRing& ring) = 0;
-    virtual std::uint32_t ring_zone_of(net::PartitionId p) const = 0;
-    /// Journal the fault records for a removed member (GSD record, plus
-    /// ES/DB/CS records when the server node died).
-    virtual void ring_log_member_failure(MembershipRing& ring,
-                                         const MetaMember& member, bool node_dead,
-                                         sim::SimTime last_seen_at,
-                                         sim::SimTime detected_at,
-                                         sim::SimTime diagnosed_at) = 0;
-    /// Publish the removal event (flat/zone: kNodeFailed / kServiceFailed
-    /// with the GSD attrs; top ring: the aggregated zone-leader-lost event).
-    virtual void ring_member_removed(MembershipRing& ring,
-                                     const MetaMember& member, bool node_dead) = 0;
-    /// Recover the removed member's partition (restart in place or migrate).
-    /// Called only when Config::recovers_partitions is set.
-    virtual void ring_recover_member(MembershipRing& ring,
-                                     const MetaMember& member, bool node_dead) = 0;
-    /// A view change introduced a new/re-incarnated member: close its fault
-    /// record (first applier wins) and publish the recovery event.
-    virtual void ring_member_recovered(MembershipRing& ring,
-                                       const MetaMember& member) = 0;
-    /// Per-network silence diagnosis delegated to the host's shared
-    /// analysis path (logs the GSD network-failure record).
-    virtual void ring_diagnose_network_failure(MembershipRing& ring,
-                                               net::NodeId node,
-                                               net::NetworkId network,
-                                               sim::SimTime detected_at,
-                                               sim::SimTime last_seen_at) = 0;
-    /// The view changed (applied, founded or adopted). Hook for the zone
-    /// layer: leadership transitions, churn aggregation, metrics.
-    virtual void ring_view_changed(MembershipRing& ring,
-                                   const MetaView& old_view) = 0;
-    /// A regroup solicitation round started (metrics hook).
-    virtual void ring_regroup_round(MembershipRing& ring) = 0;
-  };
-
-  MembershipRing(Host& host, cluster::Cluster& cluster, const FtParams& params,
-                 Config config);
+  /// `scope` is the wire scope tag: 0 for the flat ring, zone + 1 for a zone
+  /// sub-ring, kTopRingScope for the top ring.
+  MembershipRing(GroupServiceDaemon& gsd, std::uint32_t scope);
 
   MembershipRing(const MembershipRing&) = delete;
   MembershipRing& operator=(const MembershipRing&) = delete;
 
-  // -- lifecycle (driven by the host daemon) --
+  // -- lifecycle (driven by the GSD) --
   /// Adopt a boot-time view seeded by the kernel (no join storm).
   void seed_view(MetaView view);
   /// Found a fresh singleton ring at the given view id (keeps the fencing
-  /// epoch, floored). `persist` mirrors the original call sites: bootstrap
-  /// and futile-rejoin refounding checkpoint the view, the single-partition
+  /// epoch, floored). With `persist`, a flat or zone ring checkpoints the
+  /// view: bootstrap and futile-rejoin refounding do, the single-partition
   /// shortcut does not.
   void found(std::uint64_t view_id, bool persist);
-  /// Directoryless host: nothing to rejoin, just mark membership.
+  /// A GSD without a directory: nothing to rejoin, just mark membership.
   void mark_joined() { joined_ = true; }
   /// Restart/migration path: membership must be re-earned by rejoining.
   void mark_unjoined() { joined_ = false; }
@@ -157,18 +73,18 @@ class MembershipRing {
   void adopt_recovered_view(MetaView recovered);
   /// Clear per-incarnation runtime state (restart path).
   void reset_runtime_state(std::size_t network_count);
-  /// Arm the predecessor checker and ring beater. Draws the beater's start
-  /// jitter from the engine RNG — at the same sequence position as the
-  /// original GSD code.
-  void arm(sim::SimTime scan_period, sim::SimTime checker_delay,
-           sim::SimTime beat_period);
+  /// Arm the predecessor checker (first check after `checker_delay`, then
+  /// every kHeartbeatGrace) and the ring beater (every heartbeat interval).
+  /// Draws the beater's start jitter from the engine RNG, so its place in
+  /// the GSD's start sequence fixes every later draw.
+  void arm(sim::SimTime checker_delay);
   /// Start the periodic join solicitation after the given delay.
   void begin_join_search(sim::SimTime delay);
   /// Send one join solicitation immediately.
   void rejoin_now() { try_rejoin(); }
   void stop();
 
-  // -- wire entry points (host routes by message scope) --
+  // -- wire entry points (the GSD routes by message scope) --
   void handle_ring_heartbeat(const RingHeartbeatMsg& ring, const net::Envelope& env);
   void apply_view(MetaView incoming);
   void handle_join(const MetaJoinMsg& join);
@@ -176,8 +92,9 @@ class MembershipRing {
   void handle_regroup_vote(const RegroupVoteMsg& vote);
 
   // -- observers --
-  const Config& config() const noexcept { return config_; }
-  std::uint32_t scope() const noexcept { return config_.scope; }
+  std::uint32_t scope() const noexcept { return scope_; }
+  /// The membership-only top ring of zone leaders.
+  bool is_top() const noexcept { return scope_ == kTopRingScope; }
   const MetaView& view() const noexcept { return view_; }
   bool joined() const noexcept { return joined_; }
   bool is_ring_leader() const;
@@ -222,16 +139,16 @@ class MembershipRing {
   void cast_vote(net::Address reply_to, std::uint64_t round_id, bool concur);
   void send_fence();
 
-  sim::SimTime now() const { return cluster_.engine().now(); }
-  net::Address ppm_at(net::NodeId node) const;
+  sim::SimTime now() const;
+  /// Trace prefix: "meta" (flat), "zone" or "top".
+  const char* label() const noexcept;
   /// Publish with the ring scope attached (scope 0 adds nothing, keeping
   /// every flat-mode event byte-identical).
   void publish_scoped(Event e);
 
-  Host& host_;
-  cluster::Cluster& cluster_;
+  GroupServiceDaemon& gsd_;
+  const std::uint32_t scope_;
   const FtParams& params_;
-  const Config config_;
 
   MetaView view_;
   /// index_of(our partition) in view_, kept by replace_view so the 50 ms

@@ -90,9 +90,9 @@ void PhoenixKernel::create_daemons() {
   // Cluster-wide singletons.
   const net::NodeId head = cluster_.server_node(net::PartitionId{0});
   config_ = std::make_unique<ConfigurationService>(
-      cluster_, head, params_.server_daemon_cpu_share, this, &params_);
+      cluster_, head, kServerDaemonCpuShare, this, &params_);
   security_ = std::make_unique<SecurityService>(
-      cluster_, head, params_.server_daemon_cpu_share, this, &params_);
+      cluster_, head, kServerDaemonCpuShare, this, &params_);
 
   // Dynamic reconfiguration notifications: every successful set() becomes a
   // "config.changed" event through partition 0's event service.
@@ -114,11 +114,11 @@ void PhoenixKernel::create_daemons() {
   for (const auto& node : cluster_.nodes()) {
     const net::NodeId id = node.id();
     ppms_[id.value] = std::make_unique<ProcessManager>(cluster_, id, params_, this,
-                                                       params_.ppm_cpu_share);
+                                                       kPpmCpuShare);
     detectors_[id.value] = std::make_unique<DetectorDaemon>(
-        cluster_, id, params_, this, params_.detector_cpu_share);
+        cluster_, id, params_, this, kDetectorCpuShare);
     wds_[id.value] = std::make_unique<WatchDaemon>(cluster_, id, params_, this,
-                                                   params_.wd_cpu_share);
+                                                   kWdCpuShare);
   }
 
   // Per-partition services on server nodes.
@@ -130,14 +130,14 @@ void PhoenixKernel::create_daemons() {
     const net::PartitionId pid{static_cast<std::uint32_t>(p)};
     const net::NodeId server = cluster_.server_node(pid);
     css_[p] = std::make_unique<CheckpointService>(cluster_, server, pid, params_,
-                                                  this, params_.server_daemon_cpu_share);
+                                                  this, kServerDaemonCpuShare);
     ess_[p] = std::make_unique<EventService>(cluster_, server, pid, params_, this,
-                                             params_.server_daemon_cpu_share);
+                                             kServerDaemonCpuShare);
     dbs_[p] = std::make_unique<DataBulletin>(cluster_, server, pid, params_, this,
-                                             params_.server_daemon_cpu_share);
+                                             kServerDaemonCpuShare);
     gsds_[p] = std::make_unique<GroupServiceDaemon>(
         cluster_, server, pid, params_, this, &log_, default_supervised(),
-        params_.server_daemon_cpu_share);
+        kServerDaemonCpuShare);
   }
 
   if (params_.topology.mode == FtParams::GroupTopology::Mode::kZoned) {
@@ -295,7 +295,7 @@ cluster::Daemon* PhoenixKernel::create_service(ServiceKind kind, net::PartitionI
       retire(std::move(gsds_[p.value]));
       auto fresh = std::make_unique<GroupServiceDaemon>(
           cluster_, node, p, params_, this, &log_, std::move(supervised),
-          params_.server_daemon_cpu_share);
+          kServerDaemonCpuShare);
       created = fresh.get();
       gsds_[p.value] = std::move(fresh);
       break;
@@ -303,7 +303,7 @@ cluster::Daemon* PhoenixKernel::create_service(ServiceKind kind, net::PartitionI
     case ServiceKind::kEventService: {
       retire(std::move(ess_[p.value]));
       auto fresh = std::make_unique<EventService>(cluster_, node, p, params_, this,
-                                                  params_.server_daemon_cpu_share);
+                                                  kServerDaemonCpuShare);
       created = fresh.get();
       ess_[p.value] = std::move(fresh);
       break;
@@ -311,7 +311,7 @@ cluster::Daemon* PhoenixKernel::create_service(ServiceKind kind, net::PartitionI
     case ServiceKind::kCheckpointService: {
       retire(std::move(css_[p.value]));
       auto fresh = std::make_unique<CheckpointService>(
-          cluster_, node, p, params_, this, params_.server_daemon_cpu_share);
+          cluster_, node, p, params_, this, kServerDaemonCpuShare);
       created = fresh.get();
       css_[p.value] = std::move(fresh);
       break;
@@ -319,7 +319,7 @@ cluster::Daemon* PhoenixKernel::create_service(ServiceKind kind, net::PartitionI
     case ServiceKind::kDataBulletin: {
       retire(std::move(dbs_[p.value]));
       auto fresh = std::make_unique<DataBulletin>(cluster_, node, p, params_, this,
-                                                  params_.server_daemon_cpu_share);
+                                                  kServerDaemonCpuShare);
       created = fresh.get();
       dbs_[p.value] = std::move(fresh);
       break;

@@ -107,11 +107,11 @@ void ProcessManager::process_exited(cluster::Pid pid, net::Address notify) {
 }
 
 sim::SimTime ProcessManager::exec_time_for(ServiceKind kind, bool extension) const {
-  if (extension) return params_.service_exec_time;
+  if (extension) return kServiceExecTime;
   switch (kind) {
-    case ServiceKind::kWatchDaemon: return params_.wd_exec_time;
-    case ServiceKind::kGroupService: return params_.gsd_exec_time;
-    default: return params_.service_exec_time;
+    case ServiceKind::kWatchDaemon: return kWdExecTime;
+    case ServiceKind::kGroupService: return kGsdExecTime;
+    default: return kServiceExecTime;
   }
 }
 

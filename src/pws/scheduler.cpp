@@ -480,13 +480,9 @@ void PwsScheduler::start_job(Job& job, std::vector<net::NodeId> nodes,
                              Pool& pool) {
   rows_.changed(job.id);
   job.allocated = std::move(nodes);
-  // A duplicate pending entry (post-recovery) can re-start a job that is
-  // already running — keep the counters exact even then.
-  if (job.state == JobState::kQueued && queued_jobs_ > 0) --queued_jobs_;
-  if (job.state != JobState::kRunning) {
-    ++running_jobs_;
-    running_ids_.insert(job.id);
-  }
+  --queued_jobs_;
+  ++running_jobs_;
+  running_ids_.insert(job.id);
   job.state = JobState::kRunning;
   job.started_at = now();
   stats_.total_wait_seconds += sim::to_seconds(now() - job.submitted_at);
@@ -764,7 +760,8 @@ void PwsScheduler::requeue_or_fail(Job& job) {
 
 void PwsScheduler::checkpoint_state() {
   // An interval of 0 saves on every change instead of coalescing per tick
-  // (mark_dirty(0)): pws_vs_pbs's output is pinned to that save traffic.
+  // (mark_dirty(0)): pws_gateway's per-job latency percentiles are pinned to
+  // that save traffic.
   if (config_.checkpoint_interval == 0) {
     save_state();
   } else {
@@ -799,12 +796,13 @@ void PwsScheduler::recover_state() {
 void PwsScheduler::rebuild_after_restore() {
   // Volatile indexes are rebuilt from the recovered job table; the slot
   // table keeps its in-memory lease/liveness state (only running_job marks
-  // are re-derived). The pending indexes are deliberately NOT cleared:
-  // an in-place restart historically re-pushed every recovered queued job
-  // behind whatever the in-memory queue already held, and the faulted
-  // pws_vs_pbs experiment depends on that exact (duplicate-tolerant)
-  // sequence of scheduling decisions.
-  for (auto& pool : pools_) pool.free_nodes().clear();
+  // are re-derived). An in-place restart reuses this object, so its pending
+  // indexes still hold the pre-kill queue: every queued job is re-enqueued
+  // below, and a second entry would start it twice.
+  for (auto& pool : pools_) {
+    pool.pending().clear();
+    pool.free_nodes().clear();
+  }
   running_ids_.clear();
   expiry_ = {};
   dependents_.clear();

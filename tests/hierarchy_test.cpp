@@ -242,6 +242,16 @@ TEST(HierarchyTest, TopLeaderCrashElectsNextZoneLeaderAsHead) {
   EXPECT_EQ(monitor.top_violations(), 0u);
   // The head seat was never vacant longer than one takeover.
   EXPECT_GT(monitor.samples(), 0u);
+
+  // Both rings removed partition 0, but the top ring is membership-only:
+  // zone 0's ring journals the one GSD record.
+  std::size_t gsd_records = 0;
+  for (const FaultRecord& record : h.kernel.fault_log().records()) {
+    if (record.component == "GSD" && record.partition == net::PartitionId{0}) {
+      ++gsd_records;
+    }
+  }
+  EXPECT_EQ(gsd_records, 1u);
 }
 
 // --- zone fault verbs ---------------------------------------------------------

@@ -6,12 +6,16 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <memory>
 #include <random>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "kernel/bulletin/data_bulletin.h"
 #include "kernel/checkpoint/checkpoint_msgs.h"
+#include "kernel/ppm/process_manager.h"
 #include "kernel_fixture.h"
 #include "test_client.h"
 
@@ -361,6 +365,46 @@ TEST(PwsHaTest, SchedulerProcessRestartKeepsJobs) {
   ASSERT_NE(recovered_queued, nullptr);
   EXPECT_EQ(recovered_running->state, JobState::kRunning);
   EXPECT_EQ(recovered_queued->state, JobState::kQueued);
+}
+
+// An in-place restart restores the queued jobs into the pending indexes of
+// the same scheduler object. Those indexes must not keep their pre-kill
+// entries too, or each queued job starts twice: the second start overwrites
+// its allocation, and the nodes of the first are never freed.
+TEST(PwsHaTest, RestartStartsEachQueuedJobOnce) {
+  KernelHarness h(small_cluster_spec(), fast_ft_params());
+  PwsSystem pws(h.kernel, one_pool_config(h.cluster));
+  std::map<std::string, int> spawns;  // job name -> ppm.spawn messages
+  h.cluster.fabric().set_drop_filter(
+      [&spawns](const net::Address&, const net::Address&, const net::Message& m) {
+        if (const auto* spawn = net::message_cast<kernel::SpawnMsg>(m)) {
+          ++spawns[spawn->spec.name];
+        }
+        return false;
+      });
+  h.run_s(1.0);
+
+  const JobId wide = pws.submit(req("alice", 8, 10.0));
+  const std::vector<JobId> queued = {pws.submit(req("alice", 2, 5.0)),
+                                     pws.submit(req("alice", 2, 5.0))};
+  h.run_s(3.0);
+  ASSERT_EQ(pws.scheduler().job(wide)->state, JobState::kRunning);
+  ASSERT_EQ(pws.scheduler().job(queued[0])->state, JobState::kQueued);
+
+  h.injector.kill_daemon(pws.scheduler());
+  h.run_s(60.0);
+  ASSERT_TRUE(pws.scheduler().alive());
+  for (const JobId id : queued) {
+    const Job* job = pws.scheduler().job(id);
+    ASSERT_NE(job, nullptr);
+    EXPECT_EQ(job->state, JobState::kCompleted) << job->name;
+    EXPECT_EQ(spawns[job->name], 2) << job->name;
+  }
+
+  // Every node is free again, so a job that needs all eight runs.
+  const JobId after = pws.submit(req("alice", 8, 5.0));
+  h.run_s(10.0);
+  EXPECT_EQ(pws.scheduler().job(after)->state, JobState::kCompleted);
 }
 
 TEST(PwsHaTest, JobCompletionDuringSchedulerOutageReconciled) {
