@@ -3,11 +3,15 @@
 # and PWS vs PBS), the eight example programs, bench/rpc_resilience and five
 # more deterministic benches (fault_matrix --quick, availability,
 # scalability, ablation_networks, group_scale --quick) against the outputs
-# committed in bench/golden/, plus the JSON fault_matrix writes. The
-# simulation is deterministic, so any changed byte is a behaviour change.
-# rpc_resilience gates KernelApi's backoff and reroute behaviour; the
-# examples gate the business-runtime and PWS paths end to end; fault_matrix
-# is the one output that runs the quorum regroup's voter probes.
+# committed in bench/golden/, plus the JSON fault_matrix and group_scale
+# write. The simulation is deterministic, so any changed byte is a behaviour
+# change. rpc_resilience gates KernelApi's backoff and reroute behaviour;
+# the examples gate the business-runtime and PWS paths end to end;
+# fault_matrix is the one output that runs the quorum regroup's voter
+# probes. fault_matrix and group_scale also assert their own claims (no
+# same-epoch double leader and bounded takeover under quorum; the zoned
+# hierarchy reconfiguring faster than the flat ring) and exit non-zero when
+# one fails, which fails their check here.
 #
 # Usage: bench/check_golden.sh [build-dir]     (default: build, Release)
 #
@@ -22,6 +26,7 @@
 #   cp <dir>/fault_matrix.json bench/golden/fault_matrix_quick.json
 #   (cd <dir> && build/bench/group_scale --quick group_scale.json) \
 #     > bench/golden/group_scale_quick.txt
+#   cp <dir>/group_scale.json bench/golden/group_scale_quick.json
 # and shows the diff in its description.
 #
 # Exits non-zero if any output differs or any program fails, after running
@@ -72,6 +77,7 @@ done
 check fault_matrix_quick "$build_dir/bench/fault_matrix" --quick fault_matrix.json
 same fault_matrix_quick.json "$out_dir/fault_matrix.json"
 check group_scale_quick "$build_dir/bench/group_scale" --quick group_scale.json
+same group_scale_quick.json "$out_dir/group_scale.json"
 
 if [ -n "$failed" ]; then
   echo "golden outputs changed:$failed" >&2

@@ -151,7 +151,7 @@ void GroupServiceDaemon::on_service_start() {
     // Persist it so a later in-place restart recovers from the warm local
     // checkpoint segment instead of scanning the federation.
     booted_with_view_ = false;
-    save_state();
+    mark_dirty();
   } else if (bootstrap_requested_ && !started_before_) {
     // Ring founder (staged construction): start a singleton group.
     bootstrap_requested_ = false;

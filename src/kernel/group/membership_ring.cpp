@@ -95,7 +95,7 @@ void MembershipRing::found(std::uint64_t view_id, bool persist) {
   v.members = {MetaMember{gsd_.partition(), gsd_.address(), gsd_.incarnation()}};
   const MetaView old = replace_view(std::move(v));
   joined_ = true;
-  if (persist && !is_top()) gsd_.save_state();
+  if (persist && !is_top()) gsd_.mark_dirty();
   gsd_.view_changed(*this, old);
 }
 
@@ -637,7 +637,7 @@ void MembershipRing::apply_view(MetaView incoming) {
   const MetaViewDiff diff = view_.diff_from(old);
   for (const MetaMember& m : diff.changed) gsd_.member_recovered(*this, m);
 
-  if (!is_top()) gsd_.save_state();
+  if (!is_top()) gsd_.mark_dirty();
   gsd_.view_changed(*this, old);
 }
 

@@ -13,8 +13,8 @@
 //      ReplayCache begin/complete protocol, so a retried RPC replays its
 //      original reply instead of being applied twice.
 //   3. One lifecycle — snapshot()/restore() plus on_takeover() hooks; the
-//      runtime issues the checkpoint saves (save_state/mark_dirty) and runs
-//      the recover-on-start load loop, so checkpointing and group-service
+//      runtime issues the checkpoint saves (mark_dirty) and runs the
+//      recover-on-start load loop, so checkpointing and group-service
 //      failover drive every service through the same code path.
 //   4. Uniform counters — messages by type, replays, restores, takeovers —
 //      read through counters().
@@ -58,7 +58,7 @@ struct RuntimeCounters {
   /// Delivered envelopes with no registered handler that rpc() did not
   /// take either.
   std::uint64_t messages_unhandled = 0;
-  /// Checkpoint saves issued (save_state / coalesced mark_dirty flushes).
+  /// Checkpoint saves issued (mark_dirty's saves and the recovery re-seed).
   std::uint64_t snapshots_saved = 0;
   /// Successful restore() invocations (recover-on-start hits).
   std::uint64_t restores = 0;
@@ -80,7 +80,7 @@ class ServiceRuntime : public cluster::Daemon {
     net::PartitionId partition{};
     /// Checkpoint namespace ("es/0"); empty means the service carries no
     /// checkpointed state — snapshot()/restore() are never invoked and
-    /// save_state()/mark_dirty() are no-ops.
+    /// mark_dirty() is a no-op.
     std::string checkpoint_namespace{};
     std::string checkpoint_key = "state";
     /// Report ServiceUpMsg to the partition's GSD once the service is ready
@@ -247,14 +247,12 @@ class ServiceRuntime : public cluster::Daemon {
   /// records). No-op without a directory.
   void announce_up();
 
-  /// Saves snapshot() into the checkpoint federation immediately.
-  void save_state();
-
-  /// Checkpoint-on-change, coalesced over `window`. A change saves at once
-  /// (leading edge) unless a save went out in the last max(window, 1 us);
-  /// otherwise one trailing flush at last save + window folds every change
-  /// in between. Window 0 coalesces per simulation tick, cutting a burst
-  /// (e.g. an EsSyncMsg batch) to at most two saves per tick; a positive
+  /// Checkpoint-on-change, coalesced over `window`: the only way a service
+  /// saves. A change saves at once (leading edge) unless a save went out in
+  /// the last max(window, 1 us); otherwise one trailing flush at last save +
+  /// window folds every change in between. Window 0 coalesces per
+  /// simulation tick, cutting a burst (e.g. an EsSyncMsg batch, or ring
+  /// views applied together) to at most two saves per tick; a positive
   /// window bounds saves to two per window, and a crash loses at most
   /// `window` of recent changes.
   void mark_dirty(sim::SimTime window = 0);
@@ -263,6 +261,9 @@ class ServiceRuntime : public cluster::Daemon {
   void handle(const net::Envelope& env) final;
   void on_start() final;
   void on_stop() final;
+
+  /// Saves snapshot() into the checkpoint federation immediately.
+  void save_state();
 
   /// Slow path of handle(): serve span + serve-latency histogram. Split out
   /// so the default path stays the dense-table dispatch plus one branch.

@@ -49,15 +49,16 @@ PwsScheduler::PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
   metrics_ = &cluster.metrics();
   schedule_latency_us_ = metrics_->histogram("pws.schedule_latency_us");
   batch_size_hist_ = metrics_->histogram("pws.batch_size");
-  submitted_ctr_ = metrics_->counter("pws.submitted");
-  admission_denied_ctr_ = metrics_->counter("pws.admission_denied");
-  batches_ctr_ = metrics_->counter("pws.batches");
-  cancelled_ctr_ = metrics_->counter("pws.cancelled");
   probe_id_ = metrics_->register_probe([this](obs::Registry& r) {
     if (!alive()) return;  // a migrated-away instance must not clobber gauges
     r.gauge("pws.queue_depth")->set(static_cast<double>(queued_jobs_));
     r.gauge("pws.running")->set(static_cast<double>(running_jobs_));
     r.gauge("pws.jobs_tracked")->set(static_cast<double>(jobs_.size()));
+    r.gauge("pws.submitted")->set(static_cast<double>(stats_.submitted));
+    r.gauge("pws.admission_denied")
+        ->set(static_cast<double>(stats_.admission_denied));
+    r.gauge("pws.batches")->set(static_cast<double>(stats_.batches));
+    r.gauge("pws.cancelled")->set(static_cast<double>(stats_.cancelled));
   });
 
   on<PwsSubmitMsg>([this](const PwsSubmitMsg& submit) { handle_submit(submit); });
@@ -67,14 +68,11 @@ PwsScheduler::PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
       reply->request_id = batch.request_id;
       reply->results.reserve(batch.requests.size());
       for (const auto& request : batch.requests) {
-        reply->results.push_back(submit_internal(request, false));
+        reply->results.push_back(submit_internal(request));
       }
       ++stats_.batches;
-      if (metrics_->enabled()) {
-        batches_ctr_->inc();
-        batch_size_hist_->record(batch.requests.size());
-      }
-      checkpoint_state();  // one (coalescible) checkpoint for the whole batch
+      if (metrics_->enabled()) batch_size_hist_->record(batch.requests.size());
+      mark_dirty(config_.checkpoint_interval);  // one for the whole batch
       request_pass_soon();
       return reply;
     });
@@ -152,7 +150,11 @@ void PwsScheduler::subscribe_events() {
 // --- submission ---------------------------------------------------------------
 
 JobId PwsScheduler::submit(const SubmitRequest& request) {
-  return submit_internal(request, true).job_id;
+  const BatchSubmitResult result = submit_internal(request);
+  if (result.status == SubmitStatus::kAccepted) {
+    mark_dirty(config_.checkpoint_interval);
+  }
+  return result.job_id;
 }
 
 bool PwsScheduler::admit_tenant(net::SymbolId user) {
@@ -173,18 +175,18 @@ bool PwsScheduler::admit_tenant(net::SymbolId user) {
   return true;
 }
 
-BatchSubmitResult PwsScheduler::submit_internal(const SubmitRequest& request,
-                                                bool checkpoint_each) {
+SubmitStatus PwsScheduler::refusal(const SubmitRequest& request) {
   // A job the checkpoint cannot carry would be acknowledged, then lost by
   // the next restore.
-  if (!fits_job_row(request)) return {0, SubmitStatus::kMalformed};
-  const auto user_sym = net::intern_symbol(request.user);
-  if (!admit_tenant(user_sym)) {
+  if (!fits_job_row(request)) return SubmitStatus::kMalformed;
+  if (!admit_tenant(net::intern_symbol(request.user))) {
     ++stats_.admission_denied;
-    if (metrics_->enabled()) admission_denied_ctr_->inc();
-    return {0, SubmitStatus::kAdmissionDenied};
+    return SubmitStatus::kAdmissionDenied;
   }
+  return SubmitStatus::kAccepted;
+}
 
+Job& PwsScheduler::record_job(const SubmitRequest& request, JobState state) {
   Job job;
   job.id = next_job_id_++;
   job.name = request.name.empty() ? "job" + std::to_string(job.id) : request.name;
@@ -196,79 +198,75 @@ BatchSubmitResult PwsScheduler::submit_internal(const SubmitRequest& request,
   job.walltime_limit = request.walltime_limit;
   job.arch = request.arch;
   job.after_ok = request.after_ok;
-  job.state = JobState::kQueued;
+  job.state = state;
   job.submitted_at = now();
-  job.user_sym = user_sym;
+  job.user_sym = net::intern_symbol(request.user);
   job.pool_sym = net::intern_symbol(request.pool);
-
-  const std::size_t pool_index = pool_index_of(job.pool_sym);
   const JobId id = job.id;
+  rows_.changed(id);
+  return jobs_.emplace(id, std::move(job)).first->second;
+}
+
+SubmitStatus PwsScheduler::queue_job(Job& job) {
+  const JobId id = job.id;
+  rows_.changed(id);  // every outcome writes the job's state
+  const std::size_t pool_index = pool_index_of(job.pool_sym);
   if (pool_index == kNoPool) {
     job.state = JobState::kRejected;
     ++stats_.rejected;
-    jobs_.emplace(id, std::move(job));
-    rows_.changed(id);
     retire_if_unretained(id);
-    return {id, SubmitStatus::kUnknownPool};
+    return SubmitStatus::kUnknownPool;
   }
-  if (request.after_ok != 0) {
-    auto dep = jobs_.find(request.after_ok);
+  if (job.after_ok != 0) {
+    auto dep = jobs_.find(job.after_ok);
     if (dep != jobs_.end() && !dep->second.terminal()) {
-      dependents_[request.after_ok].push_back(id);
+      dependents_[job.after_ok].push_back(id);
     }
   }
-  pools_[pool_index].enqueue(job, usage_of_sym(user_sym));
-  jobs_.emplace(id, std::move(job));
-  rows_.changed(id);
+  job.state = JobState::kQueued;
+  pools_[pool_index].enqueue(job, usage_of_sym(job.user_sym));
   ++queued_jobs_;
   ++stats_.submitted;
-  if (metrics_->enabled()) submitted_ctr_->inc();
   mark_pool_dirty(pool_index);
-  if (checkpoint_each) checkpoint_state();
-  return {id, SubmitStatus::kAccepted};
+  return SubmitStatus::kAccepted;
+}
+
+BatchSubmitResult PwsScheduler::submit_internal(const SubmitRequest& request) {
+  const SubmitStatus refused = refusal(request);
+  if (refused != SubmitStatus::kAccepted) return {0, refused};
+  Job& job = record_job(request, JobState::kQueued);
+  const JobId id = job.id;
+  return {id, queue_job(job)};
+}
+
+void PwsScheduler::reply_submit(net::Address reply_to, std::uint64_t request_id,
+                                BatchSubmitResult result, std::string reason) {
+  if (!reply_to.valid()) return;
+  auto reply = std::make_shared<PwsSubmitReplyMsg>();
+  reply->request_id = request_id;
+  reply->accepted = result.status == SubmitStatus::kAccepted;
+  reply->job_id = result.job_id;
+  if (!reply->accepted && reason.empty()) reason = to_string(result.status);
+  reply->reason = std::move(reason);
+  send_any(reply_to, std::move(reply));
 }
 
 bool PwsScheduler::cancel(JobId id) {
   auto it = jobs_.find(id);
   if (it == jobs_.end() || it->second.terminal()) return false;
   Job& job = it->second;
-  if (job.state == JobState::kQueued || job.state == JobState::kAuthorizing) {
-    if (job.state == JobState::kQueued) {
-      const std::size_t pool_index = pool_index_of(job.pool_sym);
-      if (pool_index != kNoPool) {
-        Pool& pool = pools_[pool_index];
-        const bool had_pending = pool.has_pending();
-        pool.remove(id);
-        if (had_pending && !pool.has_pending()) pool_drained(pool_index);
-      }
-      --queued_jobs_;
+  if (job.state == JobState::kQueued) {
+    const std::size_t pool_index = pool_index_of(job.pool_sym);
+    if (pool_index != kNoPool) {
+      Pool& pool = pools_[pool_index];
+      const bool had_pending = pool.has_pending();
+      pool.remove(id);
+      if (had_pending && !pool.has_pending()) pool_drained(pool_index);
     }
-    job.state = JobState::kCancelled;
-    job.finished_at = now();
-    rows_.changed(id);
-    ++stats_.cancelled;
-    if (metrics_->enabled()) cancelled_ctr_->inc();
-    wake_dependents(id);
-    retire_if_unretained(id);
-    checkpoint_state();
-    return true;
-  }
-  // Running: kill every process, free the slots.
-  for (const auto& [node_value, pid] : job.pids) {
-    auto kill = std::make_shared<kernel::KillMsg>();
-    kill->pid = pid;
-    send_any({net::NodeId{node_value}, kernel::port_of(ServiceKind::kProcessManager)},
-             std::move(kill));
-    pid_to_job_.erase(pid);
-  }
-  for (net::NodeId n : job.allocated) {
-    auto slot = slots_.find(n.value);
-    if (slot != slots_.end() && slot->second.running_job == id) {
-      free_slot(n.value, slot->second);
-    }
+  } else if (job.state == JobState::kRunning) {
+    release(job, net::NodeId{});
   }
   ++stats_.cancelled;
-  if (metrics_->enabled()) cancelled_ctr_->inc();
   finish_job(job, JobState::kCancelled);
   return true;
 }
@@ -390,7 +388,7 @@ void PwsScheduler::schedule_pass() {
     pool_dirty_[i] = 0;
     scan_pool(i);
   }
-  checkpoint_state();
+  mark_dirty(config_.checkpoint_interval);
 }
 
 void PwsScheduler::scan_pool(std::size_t pool_index) {
@@ -426,7 +424,6 @@ void PwsScheduler::scan_pool(std::size_t pool_index) {
         rows_.changed(job.id);
         --queued_jobs_;
         ++stats_.cancelled;
-        if (metrics_->enabled()) cancelled_ctr_->inc();
         const JobId dead = job.id;
         wake_dependents(dead);
         retire_if_unretained(dead);
@@ -520,20 +517,7 @@ void PwsScheduler::enforce_walltime() {
   for (const JobId id : victims) {
     Job& job = jobs_.at(id);
     if (job.state != JobState::kRunning) continue;
-    for (const auto& [node_value, pid] : job.pids) {
-      pid_to_job_.erase(pid);
-      auto kill = std::make_shared<kernel::KillMsg>();
-      kill->pid = pid;
-      send_any({net::NodeId{node_value},
-                kernel::port_of(ServiceKind::kProcessManager)},
-               std::move(kill));
-    }
-    for (net::NodeId n : job.allocated) {
-      auto slot = slots_.find(n.value);
-      if (slot != slots_.end() && slot->second.running_job == id) {
-        free_slot(n.value, slot->second);
-      }
-    }
+    release(job, net::NodeId{});
     ++stats_.timed_out;
     finish_job(job, JobState::kTimedOut);
   }
@@ -564,7 +548,7 @@ void PwsScheduler::launch(Job& job) {
           job_it->second.pids[n.value] = spawned.value->pid;
           rows_.changed(id);
           pid_to_job_[spawned.value->pid] = id;
-          checkpoint_state();
+          mark_dirty(config_.checkpoint_interval);
         },
         call_options(1), "spawn");
   }
@@ -622,7 +606,7 @@ void PwsScheduler::finish_job(Job& job, JobState final_state) {
   const JobId id = job.id;
   wake_dependents(id);
   retire_if_unretained(id);  // `job` may dangle past this point
-  checkpoint_state();
+  mark_dirty(config_.checkpoint_interval);
 }
 
 void PwsScheduler::free_slot(std::uint32_t node_value, NodeSlot& slot) {
@@ -637,16 +621,7 @@ void PwsScheduler::free_slot(std::uint32_t node_value, NodeSlot& slot) {
 
 void PwsScheduler::capacity_freed(std::size_t owner_index) {
   mark_pool_dirty(owner_index);
-  // Idle capacity of a lender with nothing queued is borrowable: wake every
-  // pool that could claim it.
-  const Pool& owner = pools_[owner_index];
-  if (!owner.config().allow_lending || owner.has_pending()) return;
-  for (std::size_t i = 0; i < pools_.size(); ++i) {
-    if (i == owner_index) continue;
-    if (pools_[i].config().allow_borrowing && pools_[i].has_pending()) {
-      mark_pool_dirty(i);
-    }
-  }
+  if (!pools_[owner_index].has_pending()) pool_drained(owner_index);
 }
 
 void PwsScheduler::pool_drained(std::size_t pool_index) {
@@ -712,23 +687,25 @@ void PwsScheduler::handle_node_failed(net::NodeId node) {
   auto job_it = jobs_.find(victim);
   if (job_it == jobs_.end() || job_it->second.state != JobState::kRunning) return;
   Job& job = job_it->second;
+  release(job, node);
+  requeue_or_fail(job);
+}
 
-  // Kill the job's surviving processes and free their slots.
+void PwsScheduler::release(Job& job, net::NodeId dead) {
   for (const auto& [node_value, pid] : job.pids) {
     pid_to_job_.erase(pid);
-    if (node_value == node.value) continue;
+    if (node_value == dead.value) continue;  // died with its node
     auto kill = std::make_shared<kernel::KillMsg>();
     kill->pid = pid;
     send_any({net::NodeId{node_value}, kernel::port_of(ServiceKind::kProcessManager)},
              std::move(kill));
   }
   for (net::NodeId n : job.allocated) {
-    auto s = slots_.find(n.value);
-    if (s != slots_.end() && s->second.running_job == victim) {
-      free_slot(n.value, s->second);
+    auto slot = slots_.find(n.value);
+    if (slot != slots_.end() && slot->second.running_job == job.id) {
+      free_slot(n.value, slot->second);
     }
   }
-  requeue_or_fail(job);
 }
 
 void PwsScheduler::requeue_or_fail(Job& job) {
@@ -750,24 +727,13 @@ void PwsScheduler::requeue_or_fail(Job& job) {
       pools_[pool_index].enqueue_front(job, usage_of_sym(job.user_sym));
       mark_pool_dirty(pool_index);
     }
-    checkpoint_state();
+    mark_dirty(config_.checkpoint_interval);
   } else {
     finish_job(job, JobState::kFailed);
   }
 }
 
 // --- state persistence ------------------------------------------------------------
-
-void PwsScheduler::checkpoint_state() {
-  // An interval of 0 saves on every change instead of coalescing per tick
-  // (mark_dirty(0)): pws_gateway's per-job latency percentiles are pinned to
-  // that save traffic.
-  if (config_.checkpoint_interval == 0) {
-    save_state();
-  } else {
-    mark_dirty(config_.checkpoint_interval);
-  }
-}
 
 void PwsScheduler::recover_state() {
   // Not the runtime's recover-on-start loop: that one draws its load ids
@@ -873,51 +839,35 @@ void PwsScheduler::reconcile_with_bulletin() {
 // --- message handling ------------------------------------------------------------
 
 void PwsScheduler::handle_submit(const PwsSubmitMsg& submit) {
-  // submit_internal refuses a request the checkpoint cannot carry before it
-  // is ever authorized.
-  if (config_.use_security && fits_job_row(submit.request)) {
-    Job job;
-    job.id = next_job_id_++;
-    job.name = submit.request.name.empty() ? "job" + std::to_string(job.id)
-                                           : submit.request.name;
-    job.user = submit.request.user;
-    job.pool = submit.request.pool;
-    job.nodes_needed = std::max(1u, submit.request.nodes);
-    job.duration = submit.request.duration;
-    job.state = JobState::kAuthorizing;
-    job.submitted_at = now();
-    job.user_sym = net::intern_symbol(job.user);
-    job.pool_sym = net::intern_symbol(job.pool);
-    const JobId id = job.id;
-    jobs_.emplace(id, std::move(job));
-    rows_.changed(id);
-
-    auto authz = std::make_shared<kernel::AuthzRequestMsg>();
-    authz->token = submit.token;
-    authz->action = "job.submit";
-    authz->resource = "pool/" + submit.request.pool;
-    authz->reply_to = address();
-    rpc().call<kernel::AuthzReplyMsg>(
-        std::move(authz),
-        directory()->service_address(ServiceKind::kSecurity, net::PartitionId{0}),
-        [this, id, reply_to = submit.reply_to, caller = submit.request_id](
-            net::Result<const kernel::AuthzReplyMsg*> authz_reply) {
-          finish_authz(id, reply_to, caller, authz_reply);
-        },
-        call_options(1), "authorize");
+  if (!config_.use_security) {
+    const BatchSubmitResult result = submit_internal(submit.request);
+    if (result.status == SubmitStatus::kAccepted) {
+      mark_dirty(config_.checkpoint_interval);
+    }
+    reply_submit(submit.reply_to, submit.request_id, result);
     return;
   }
-  const BatchSubmitResult result = submit_internal(submit.request, true);
-  if (submit.reply_to.valid()) {
-    auto reply = std::make_shared<PwsSubmitReplyMsg>();
-    reply->request_id = submit.request_id;
-    reply->accepted = result.status == SubmitStatus::kAccepted;
-    reply->job_id = result.job_id;
-    if (result.status != SubmitStatus::kAccepted) {
-      reply->reason = std::string(to_string(result.status));
-    }
-    send_any(submit.reply_to, std::move(reply));
+  // A request the checkpoint cannot carry, or its tenant's bucket cannot
+  // pay for, is refused before it is ever authorized.
+  const SubmitStatus refused = refusal(submit.request);
+  if (refused != SubmitStatus::kAccepted) {
+    reply_submit(submit.reply_to, submit.request_id, {0, refused});
+    return;
   }
+  const JobId id = record_job(submit.request, JobState::kAuthorizing).id;
+  auto authz = std::make_shared<kernel::AuthzRequestMsg>();
+  authz->token = submit.token;
+  authz->action = "job.submit";
+  authz->resource = "pool/" + submit.request.pool;
+  authz->reply_to = address();
+  rpc().call<kernel::AuthzReplyMsg>(
+      std::move(authz),
+      directory()->service_address(ServiceKind::kSecurity, net::PartitionId{0}),
+      [this, id, reply_to = submit.reply_to, caller = submit.request_id](
+          net::Result<const kernel::AuthzReplyMsg*> authz_reply) {
+        finish_authz(id, reply_to, caller, authz_reply);
+      },
+      call_options(1), "authorize");
 }
 
 void PwsScheduler::finish_authz(JobId id, net::Address reply_to,
@@ -926,43 +876,19 @@ void PwsScheduler::finish_authz(JobId id, net::Address reply_to,
   if (!alive()) return;
   auto job_it = jobs_.find(id);
   if (job_it == jobs_.end()) return;
-  Job& job = job_it->second;
-  const JobId job_id = job.id;
-  bool accepted = false;
+  if (authz && authz.value->allowed) {
+    const SubmitStatus status = queue_job(job_it->second);
+    mark_dirty(config_.checkpoint_interval);
+    reply_submit(reply_to, caller_request_id, {id, status});
+    return;
+  }
   // An unanswered authorization is a refusal, not a job that waits forever.
   std::string reason =
       authz ? authz.value->reason : std::string(net::to_string(authz.status));
-  const std::size_t pool_index = pool_index_of(job.pool_sym);
-  if (!authz || !authz.value->allowed) {
-    job.state = JobState::kRejected;
-    job.finished_at = now();
-    ++stats_.rejected;
-    retire_if_unretained(job_id);
-  } else if (pool_index == kNoPool) {
-    job.state = JobState::kRejected;
-    job.finished_at = now();
-    ++stats_.rejected;
-    reason = "unknown pool '" + job.pool + "'";
-    retire_if_unretained(job_id);
-  } else {
-    job.state = JobState::kQueued;
-    pools_[pool_index].enqueue(job, usage_of_sym(job.user_sym));
-    ++queued_jobs_;
-    mark_pool_dirty(pool_index);
-    ++stats_.submitted;
-    if (metrics_->enabled()) submitted_ctr_->inc();
-    accepted = true;
-  }
-  rows_.changed(job_id);  // every branch wrote the job's state
-  checkpoint_state();
-  if (reply_to.valid()) {
-    auto reply = std::make_shared<PwsSubmitReplyMsg>();
-    reply->request_id = caller_request_id;
-    reply->accepted = accepted;
-    reply->job_id = job_id;
-    reply->reason = std::move(reason);
-    send_any(reply_to, std::move(reply));
-  }
+  ++stats_.rejected;
+  finish_job(job_it->second, JobState::kRejected);
+  reply_submit(reply_to, caller_request_id, {id, SubmitStatus::kAuthDenied},
+               std::move(reason));
 }
 
 void PwsScheduler::handle_node_recovered(net::NodeId node) {

@@ -184,14 +184,14 @@ struct PwsConfig {
 
   // --- batch-native submission path (DESIGN.md §13) -------------------------
 
-  /// Checkpoint coalescing window for the batched path. 0 (default) keeps
-  /// the historical save-per-change wire behaviour. >0 bounds checkpoint
-  /// traffic to one leading save plus one trailing flush per window, and a
-  /// crash loses the changes of the last window, jobs acknowledged inside it
-  /// included: the gateway completes an item on its reply and never resends
-  /// an acknowledged job (ROADMAP item 5: acknowledge only saved jobs). A
-  /// non-zero window also coalesces the completion-prompted scheduling
-  /// passes (one pending pass at a time instead of one per finished job).
+  /// Checkpoint coalescing window, handed to the runtime's mark_dirty():
+  /// one leading save plus one trailing flush per window. 0 (default)
+  /// coalesces per simulation tick. A crash loses the changes of the last
+  /// window, jobs acknowledged inside it included: the gateway completes an
+  /// item on its reply and never resends an acknowledged job (ROADMAP item
+  /// 5: acknowledge only saved jobs). A non-zero window also coalesces the
+  /// completion-prompted scheduling passes (one pending pass at a time
+  /// instead of one per finished job).
   sim::SimTime checkpoint_interval = 0;
 
   /// When false, terminal jobs are retired from the job table once their
@@ -272,10 +272,21 @@ class PwsScheduler final : public kernel::ServiceRuntime {
   void handle_node_recovered(net::NodeId node);
   void handle_reconcile_reply(const kernel::DbQueryReplyMsg& reply);
 
-  // submission internals
-  BatchSubmitResult submit_internal(const SubmitRequest& request,
-                                    bool checkpoint_each);
+  // submission: every path refuses, records and queues a job the same way
+  /// kMalformed for a row the checkpoint cannot carry, kAdmissionDenied
+  /// when the tenant's token bucket is empty, else kAccepted.
+  SubmitStatus refusal(const SubmitRequest& request);
   bool admit_tenant(net::SymbolId user);
+  /// Enters a new job for `request` in the table, in `state`.
+  Job& record_job(const SubmitRequest& request, JobState state);
+  /// Queues a recorded job: kUnknownPool rejects it, a dependency that has
+  /// not ended gates it (after_ok), anything else is pending in its pool.
+  SubmitStatus queue_job(Job& job);
+  /// refusal(), then record_job() and queue_job(); saves nothing.
+  BatchSubmitResult submit_internal(const SubmitRequest& request);
+  /// Sends a per-job verdict; `reason` defaults to the status name.
+  void reply_submit(net::Address reply_to, std::uint64_t request_id,
+                    BatchSubmitResult result, std::string reason = {});
 
   // incremental scheduling
   void schedule_pass();
@@ -294,6 +305,9 @@ class PwsScheduler final : public kernel::ServiceRuntime {
   void launch(Job& job);
   void complete_process(cluster::Pid pid, net::NodeId node);
   void finish_job(Job& job, JobState final_state);
+  /// Kills the job's processes, except those that died with node `dead`,
+  /// and frees its slots.
+  void release(Job& job, net::NodeId dead);
   void handle_node_failed(net::NodeId node);
   void requeue_or_fail(Job& job);
   void enforce_walltime();
@@ -318,7 +332,6 @@ class PwsScheduler final : public kernel::ServiceRuntime {
   void retire_if_unretained(JobId id);
 
   // state persistence
-  void checkpoint_state();
   void recover_state();
   void rebuild_after_restore();
   void reconcile_with_bulletin();
@@ -366,10 +379,6 @@ class PwsScheduler final : public kernel::ServiceRuntime {
   obs::Registry* metrics_ = nullptr;
   obs::Histogram* schedule_latency_us_ = nullptr;
   obs::Histogram* batch_size_hist_ = nullptr;
-  obs::Counter* submitted_ctr_ = nullptr;
-  obs::Counter* admission_denied_ctr_ = nullptr;
-  obs::Counter* batches_ctr_ = nullptr;
-  obs::Counter* cancelled_ctr_ = nullptr;
   std::uint64_t probe_id_ = 0;
 
   std::map<cluster::Pid, JobId> pid_to_job_;

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "kernel/checkpoint/checkpoint_msgs.h"
 #include "kernel/ppm/process_manager.h"
 #include "kernel_fixture.h"
 
@@ -359,6 +360,35 @@ TEST_F(GroupServiceTest, ApplyingTheCurrentViewIsANoOp) {
   deliver_view(peer, gsd, next);
   EXPECT_EQ(gsd.counters().snapshots_saved, saved + 1);
   EXPECT_EQ(gsd.view().view_id, next.view_id);
+}
+
+// A GSD persists its view through the runtime's coalescing mark_dirty():
+// three views applied in one tick go out as one save at once and one
+// trailing flush that carries the last of them. Checked on the wire, not
+// in the store, which keeps whichever save arrives last.
+TEST_F(GroupServiceTest, ViewsAppliedInOneTickGoOutAsAtMostTwoSaves) {
+  auto& gsd = h.kernel.gsd(net::PartitionId{1});
+  const auto& peer = h.kernel.gsd(net::PartitionId{0});
+  std::vector<std::uint64_t> saved_views;
+  h.cluster.fabric().set_drop_filter(
+      [&](const net::Address& from, const net::Address&, const net::Message& m) {
+        const auto* save = net::message_cast<CheckpointSaveMsg>(m);
+        if (save != nullptr && from == gsd.address()) {
+          saved_views.push_back(MetaView::deserialize(save->data.str()).view_id);
+        }
+        return false;
+      });
+  MetaView view = gsd.view();
+  const std::uint64_t first = view.view_id + 1;
+  for (int i = 0; i < 3; ++i) {
+    ++view.view_id;
+    deliver_view(peer, gsd, view);
+  }
+  h.run_s(1.0);
+  h.cluster.fabric().set_drop_filter(nullptr);
+
+  EXPECT_EQ(saved_views, (std::vector<std::uint64_t>{first, view.view_id}));
+  EXPECT_EQ(gsd.view().view_id, view.view_id);
 }
 
 TEST_F(GroupServiceTest, MetaViewSurvivesDoubleFault) {

@@ -83,8 +83,8 @@ TraceOutcome outcome_of(const PwsScheduler& sched) {
   return out;
 }
 
-// Runs the trace with direct per-job submission on the legacy config
-// (save-per-change checkpoints, no admission).
+// Runs the trace with direct per-job submission on the default config
+// (checkpoints coalesced per tick, no admission).
 TraceOutcome run_sequential(const std::vector<workload::TenantEvent>& events) {
   KernelHarness h(small_cluster_spec(), fast_ft_params());
   PwsSystem pws(h.kernel, one_pool_config(h.cluster));

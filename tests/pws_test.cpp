@@ -343,6 +343,101 @@ TEST(PwsSecurityTest, UnansweredAuthorizationRejects) {
   EXPECT_EQ(pws.scheduler().stats().rejected, 1u);
 }
 
+/// Sends `request` as a per-job submission authorized with its user's
+/// token (password "pw").
+void send_authorized(TestClient& client, kernel::SecurityService& security,
+                     const PwsScheduler& scheduler, const SubmitRequest& request,
+                     std::uint64_t request_id) {
+  auto msg = std::make_shared<PwsSubmitMsg>();
+  msg->request = request;
+  msg->token = *security.authenticate(request.user, "pw");
+  msg->reply_to = client.address();
+  msg->request_id = request_id;
+  client.send_any(scheduler.address(), msg);
+}
+
+// An authorized submission keeps every field of its request: the walltime
+// limit ends the capped job, and the after_ok gate holds the dependent
+// while its dependency still runs.
+TEST(PwsSecurityTest, AuthorizedJobKeepsLimitsAndDependency) {
+  KernelHarness h(small_cluster_spec(), fast_ft_params());
+  auto config = one_pool_config(h.cluster);
+  config.use_security = true;
+  PwsSystem pws(h.kernel, config);
+  auto& security = h.kernel.security();
+  security.add_user("alice", "pw", {"scientist"});
+  security.grant("scientist", "job.submit", "pool/batch");
+  h.run_s(1.0);
+
+  TestClient client(h.cluster, net::NodeId{3});
+  std::uint64_t request_id = 0;
+  const auto submit = [&](const SubmitRequest& request) {
+    send_authorized(client, security, pws.scheduler(), request, ++request_id);
+    h.run_s(1.0);
+    const auto* reply = client.last_of_type<PwsSubmitReplyMsg>();
+    EXPECT_TRUE(reply != nullptr && reply->request_id == request_id &&
+                reply->accepted);
+    return reply == nullptr ? JobId{0} : reply->job_id;
+  };
+  SubmitRequest capped = req("alice", 1, 30.0);
+  capped.walltime_limit = 2 * sim::kSecond;
+  const JobId capped_id = submit(capped);
+  SubmitRequest dependency = req("alice", 1, 10.0);
+  dependency.priority = 3;
+  dependency.arch = "x86_64";
+  const JobId dependency_id = submit(dependency);
+  SubmitRequest gated = req("alice", 1, 1.0);
+  gated.after_ok = dependency_id;
+  const JobId gated_id = submit(gated);
+  h.run_s(2.0);
+
+  const PwsScheduler& sched = pws.scheduler();
+  ASSERT_NE(sched.job(capped_id), nullptr);
+  ASSERT_NE(sched.job(dependency_id), nullptr);
+  ASSERT_NE(sched.job(gated_id), nullptr);
+  EXPECT_EQ(sched.job(capped_id)->state, JobState::kTimedOut);
+  EXPECT_EQ(sched.job(dependency_id)->state, JobState::kRunning);
+  EXPECT_EQ(sched.job(dependency_id)->priority, 3);
+  EXPECT_EQ(sched.job(dependency_id)->arch, "x86_64");
+  EXPECT_EQ(sched.job(gated_id)->state, JobState::kQueued);
+  EXPECT_EQ(sched.job(gated_id)->after_ok, dependency_id);
+}
+
+// An authorized submission draws on its tenant's token bucket like any
+// other: with room for one job, the second of two is refused.
+TEST(PwsSecurityTest, AuthorizedSubmissionPassesAdmission) {
+  KernelHarness h(small_cluster_spec(), fast_ft_params());
+  auto config = one_pool_config(h.cluster);
+  config.use_security = true;
+  config.admission_rate = 0.001;
+  config.admission_burst = 1.0;
+  PwsSystem pws(h.kernel, config);
+  auto& security = h.kernel.security();
+  security.add_user("alice", "pw", {"scientist"});
+  security.grant("scientist", "job.submit", "pool/batch");
+  h.run_s(1.0);
+
+  TestClient client(h.cluster, net::NodeId{3});
+  send_authorized(client, security, pws.scheduler(), req("alice", 1, 5.0), 1);
+  send_authorized(client, security, pws.scheduler(), req("alice", 1, 5.0), 2);
+  h.run_s(3.0);
+
+  const auto replies = client.of_type<PwsSubmitReplyMsg>();
+  ASSERT_EQ(replies.size(), 2u);
+  std::size_t accepted = 0;
+  for (const auto* reply : replies) {
+    if (reply->accepted) {
+      ++accepted;
+    } else {
+      EXPECT_EQ(reply->job_id, 0u);
+      EXPECT_EQ(reply->reason, to_string(SubmitStatus::kAdmissionDenied));
+    }
+  }
+  EXPECT_EQ(accepted, 1u);
+  EXPECT_EQ(pws.scheduler().stats().admission_denied, 1u);
+  EXPECT_EQ(pws.scheduler().stats().submitted, 1u);
+}
+
 TEST(PwsHaTest, SchedulerProcessRestartKeepsJobs) {
   KernelHarness h(small_cluster_spec(), fast_ft_params());
   PwsSystem pws(h.kernel, one_pool_config(h.cluster));
@@ -900,12 +995,14 @@ TEST_P(PwsCheckpointTest, EverySaveEqualsSerializeJobs) {
         return false;
       });
   auto sched = [&]() -> PwsScheduler& { return pws.scheduler(); };
-  // Unknown-pool rejections take job ids: skip to the first id of a block.
+  // Unknown-pool rejections take job ids: skip to the first id of a block,
+  // which the next job takes.
   const auto fresh_block = [&] {
     JobId id = 0;
     do {
       id = sched().submit(req("filler", 1, 1.0, "no-such-pool"));
     } while ((id + 1) % JobRows::kBlockJobs != 0);
+    return id + 1;
   };
   TestClient client(h.cluster, net::NodeId{3});
   std::uint64_t request_id = 0;
@@ -937,9 +1034,17 @@ TEST_P(PwsCheckpointTest, EverySaveEqualsSerializeJobs) {
   client.send_any(sched().address(), batch);
   h.run_s(2.0);
 
-  // Authorization allowed, denied, and unanswered.
-  fresh_block();
+  // Authorization allowed, with a save while the job is authorizing, then
+  // denied, and unanswered.
+  const JobId allowed = fresh_block();
   authorized_submit("alice", 1);
+  const sim::SimTime give_up = h.cluster.now() + sim::kSecond;
+  while (sched().job(allowed) == nullptr) {
+    ASSERT_LT(h.cluster.now(), give_up);
+    ASSERT_TRUE(h.cluster.engine().step());
+  }
+  ASSERT_EQ(sched().job(allowed)->state, JobState::kAuthorizing);
+  sched().schedule_now();  // the pass ends in a save
   h.run_s(2.0);
   fresh_block();
   authorized_submit("mallory", 1);
