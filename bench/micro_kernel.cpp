@@ -1,9 +1,9 @@
 // Micro-benchmarks of the kernel primitives behind Figures 3-5: meta-group
 // view operations, event publish -> delivery, data-bulletin ingest/query,
-// checkpoint save/load, PWS checkpoint encoding, and the discrete-event
-// engine itself. These measure the implementation's real CPU cost
-// (google-benchmark), complementing the simulated-time experiments in the
-// table benches.
+// checkpoint save/load, PWS checkpoint encoding, one detector sample, and
+// the discrete-event engine itself. These measure the implementation's real
+// CPU cost (google-benchmark), complementing the simulated-time experiments
+// in the table benches.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -192,6 +192,31 @@ void BM_PwsSnapshot(benchmark::State& state) {
 BENCHMARK(BM_PwsSnapshot)
     ->ArgsProduct({{1000, 10000, 30000}, {0, 1}})
     ->ArgNames({"rows", "incremental"});
+
+// One application-state detector sample on a node that has run range(0)
+// past 20 ms jobs, one every 40 ms under 1 s samples. The detector and PPM
+// run without a kernel (no directory), so a sample walks the process table
+// and ships nothing. Past jobs cost a sample nothing once they are reaped.
+void BM_DetectorSample(benchmark::State& state) {
+  cluster::Cluster cluster(bench_spec(1));
+  kernel::FtParams params;
+  params.detector_sample_interval = 1 * sim::kSecond;
+  const net::NodeId node = cluster.compute_nodes(net::PartitionId{0})[0];
+  kernel::ProcessManager ppm(cluster, node, params, nullptr);
+  kernel::DetectorDaemon detector(cluster, node, params, nullptr);
+  ppm.start();
+  detector.start();
+  for (std::int64_t job = 0; job < state.range(0); ++job) {
+    ppm.spawn_local(kernel::ProcessSpec{"job", "alice", 1.0, 20 * sim::kMillisecond, 0});
+    cluster.engine().run_for(40 * sim::kMillisecond);
+  }
+  for (auto _ : state) detector.sample_now();
+  const cluster::Node& sampled = cluster.node(node);
+  if (sampled.process_table().size() != sampled.running_process_count()) {
+    state.SkipWithError("a terminal entry outlived the sample that reported it");
+  }
+}
+BENCHMARK(BM_DetectorSample)->Arg(0)->Arg(2000)->Arg(8000)->ArgName("past_jobs");
 
 void BM_FaultDetectionCycle(benchmark::State& state) {
   // Real CPU cost of a full WD-kill detect/diagnose/recover cycle at 1 s

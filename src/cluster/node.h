@@ -96,8 +96,10 @@ class Node {
   bool terminate_process(Pid pid, ProcessState final_state, sim::SimTime now,
                          int exit_code = 0);
 
-  /// Removes terminated processes from the table (PPM "resource cleanup").
-  /// Returns the number of entries removed.
+  /// Removes terminated processes from the table (the paper's PPM "resource
+  /// cleanup"). The node's detector calls it after every sample, so an entry
+  /// outlives its exit by at most one sample period. Returns the number of
+  /// entries removed.
   std::size_t reap();
 
   const ProcessInfo* find_process(Pid pid) const;

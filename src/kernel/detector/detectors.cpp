@@ -42,8 +42,9 @@ void DetectorDaemon::on_service_start() {
   sampler_.set_period(params_.detector_sample_interval);
   // A (re)started detector cannot know what the bulletin still holds for
   // this node; the next sample ships a full snapshot to re-anchor the
-  // delta chain. Event dedup state (last_states_) survives restarts so
-  // already-running apps are not re-announced.
+  // delta chain. reported_apps_ survives restarts, so already-running apps
+  // are not re-announced, and entries that ended while the detector was
+  // down were never reaped, so their exits are still announced.
   need_full_report_ = true;
   // Stagger the first sample so a thousand detectors do not fire in the
   // same microsecond (self-synchronization would be unrealistic).
@@ -65,7 +66,7 @@ void DetectorDaemon::sample() {
   if (!alive()) return;
   ++samples_;
   if (cluster().metrics().enabled()) m_samples_->inc();
-  const auto& node = cluster().node(node_id());
+  auto& node = cluster().node(node_id());
   const auto partition = cluster().partition_of(node_id());
   const sim::SimTime now_t = now();
 
@@ -74,25 +75,23 @@ void DetectorDaemon::sample() {
       (params_.detector_resync_every > 0 &&
        samples_since_resync_ + 1 >= params_.detector_resync_every);
 
+  // App transitions are judged against reported_apps_, the running apps of
+  // the last sample: a running app not in it has started, a terminal one in
+  // it has exited. Kernel daemons raise no events.
   std::vector<AppRecord> snapshot_apps;  // full reports only
   std::vector<AppRecord> started;        // deltas only
   std::unordered_set<cluster::Pid> running_apps;
-  std::unordered_map<cluster::Pid, cluster::ProcessState> current;
   for (const auto& [pid, p] : node.process_table()) {
-    current[pid] = p.state;
-    const bool is_app = p.owner != kKernelOwner;
-    if (is_app && p.state == cluster::ProcessState::kRunning) {
+    if (p.owner == kKernelOwner) continue;
+    const bool reported = reported_apps_.contains(pid);
+    if (p.state == cluster::ProcessState::kRunning) {
       running_apps.insert(pid);
       if (full) {
         snapshot_apps.push_back(app_record_of(node_id(), p));
-      } else if (!reported_apps_.contains(pid)) {
+      } else if (!reported) {
         started.push_back(app_record_of(node_id(), p));
       }
-    }
-    // Application state transitions -> events.
-    const auto it = last_states_.find(pid);
-    if (is_app) {
-      if (it == last_states_.end() && p.state == cluster::ProcessState::kRunning) {
+      if (!reported) {
         Event e;
         e.type = std::string(event_types::kAppStarted);
         e.subject_node = node_id();
@@ -101,23 +100,23 @@ void DetectorDaemon::sample() {
                    {attr_keys::name(), p.name},
                    {attr_keys::owner(), p.owner}};
         publish(std::move(e));
-      } else if (it != last_states_.end() &&
-                 it->second == cluster::ProcessState::kRunning &&
-                 p.state != cluster::ProcessState::kRunning) {
-        Event e;
-        e.type = std::string(event_types::kAppExited);
-        e.subject_node = node_id();
-        e.partition = partition;
-        e.attrs = {{attr_keys::pid(), std::to_string(pid)},
-                   {attr_keys::name(), p.name},
-                   {attr_keys::owner(), p.owner},
-                   {attr_keys::state(), std::string(cluster::to_string(p.state))},
-                   {attr_keys::exit_code(), std::to_string(p.exit_code)}};
-        publish(std::move(e));
       }
+    } else if (reported) {
+      Event e;
+      e.type = std::string(event_types::kAppExited);
+      e.subject_node = node_id();
+      e.partition = partition;
+      e.attrs = {{attr_keys::pid(), std::to_string(pid)},
+                 {attr_keys::name(), p.name},
+                 {attr_keys::owner(), p.owner},
+                 {attr_keys::state(), std::string(cluster::to_string(p.state))},
+                 {attr_keys::exit_code(), std::to_string(p.exit_code)}};
+      publish(std::move(e));
     }
   }
-  last_states_ = std::move(current);
+  // This walk was the last reader of every terminal entry: drop them, so the
+  // table holds the live processes plus at most one period of exits.
+  node.reap();
 
   if (directory() == nullptr) {
     reported_apps_ = std::move(running_apps);

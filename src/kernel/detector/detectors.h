@@ -19,7 +19,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "cluster/daemon.h"
@@ -54,8 +53,8 @@ class DetectorDaemon final : public ServiceRuntime {
 
   const FtParams& params_;
   sim::PeriodicTask sampler_;
-  std::unordered_map<cluster::Pid, cluster::ProcessState> last_states_;
-  /// Pids currently reported to the bulletin as running apps (delta base).
+  /// Pids the last sample reported as running apps: the base of both the
+  /// bulletin deltas and the app.started / app.exited events.
   std::unordered_set<cluster::Pid> reported_apps_;
   cluster::ResourceUsage last_usage_;
   std::uint64_t report_seq_ = 0;

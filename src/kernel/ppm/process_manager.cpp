@@ -55,15 +55,6 @@ ProcessManager::ProcessManager(cluster::Cluster& cluster, net::NodeId node,
       return reply;
     });
   });
-  on<CleanupMsg>([this](const CleanupMsg& msg) {
-    serve_idempotent(msg, [&] {
-      const std::size_t reaped = this->cluster().node(node_id()).reap();
-      auto reply = std::make_shared<CleanupReplyMsg>();
-      reply->request_id = msg.request_id;
-      reply->reaped = reaped;
-      return reply;
-    });
-  });
   on<StartServiceMsg>([this](const StartServiceMsg& msg) {
     handle_start_service(msg);
   });

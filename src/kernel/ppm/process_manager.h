@@ -1,10 +1,11 @@
 // Parallel process management service (paper §4.2).
 //
-// One PPM daemon per node. It loads and deletes remote jobs, cleans up
-// terminated process entries, answers liveness probes (the group service's
-// node-vs-process diagnosis hinges on this), restarts or instantiates kernel
-// service daemons on request (the recovery/migration path), and executes
-// parallel commands across node sets with tree fan-out.
+// One PPM daemon per node. It loads and deletes remote jobs, answers
+// liveness probes (the group service's node-vs-process diagnosis hinges on
+// this), restarts or instantiates kernel service daemons on request (the
+// recovery/migration path), and executes parallel commands across node sets
+// with tree fan-out. Terminated process entries are cleaned up by the node's
+// detector, right after the sample that reports their exit.
 #pragma once
 
 #include <cstdint>
@@ -104,23 +105,6 @@ struct KillReplyMsg final : net::Message {
 
   PHOENIX_MESSAGE_TYPE("ppm.kill_reply")
   std::size_t wire_size() const noexcept override { return 9; }
-};
-
-/// Reaps terminated process-table entries ("resource cleaning up").
-struct CleanupMsg final : net::Message {
-  net::Address reply_to;
-  std::uint64_t request_id = 0;
-
-  PHOENIX_MESSAGE_TYPE("ppm.cleanup")
-  std::size_t wire_size() const noexcept override { return 16; }
-};
-
-struct CleanupReplyMsg final : net::Message {
-  std::uint64_t request_id = 0;
-  std::uint64_t reaped = 0;
-
-  PHOENIX_MESSAGE_TYPE("ppm.cleanup_reply")
-  std::size_t wire_size() const noexcept override { return 16; }
 };
 
 /// Restart a kernel service instance on this node (recovery), or create and

@@ -36,7 +36,8 @@ enum class SubmitStatus : std::uint8_t {
   kAdmissionDenied,  // per-tenant token bucket empty (job spam)
   kUnknownPool,
   kAuthDenied,       // security service refused
-  kCancelled,        // absorbed by the gateway before ever being sent
+  kCancelled,        // absorbed by the gateway before ever being sent, or
+                     // cancelled while its authorization was in flight
   kUnavailable,      // gateway retry budget exhausted, outcome unknown
   kMalformed,        // a text field would not survive a checkpoint
 };

@@ -875,7 +875,12 @@ void PwsScheduler::finish_authz(JobId id, net::Address reply_to,
                                 net::Result<const kernel::AuthzReplyMsg*> authz) {
   if (!alive()) return;
   auto job_it = jobs_.find(id);
-  if (job_it == jobs_.end()) return;
+  // Cancelled while the verdict was in flight (and retired with it, if
+  // terminal jobs are not retained): the job stays cancelled.
+  if (job_it == jobs_.end() || job_it->second.state != JobState::kAuthorizing) {
+    reply_submit(reply_to, caller_request_id, {id, SubmitStatus::kCancelled});
+    return;
+  }
   if (authz && authz.value->allowed) {
     const SubmitStatus status = queue_job(job_it->second);
     mark_dirty(config_.checkpoint_interval);

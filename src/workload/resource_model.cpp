@@ -84,6 +84,10 @@ void ResourceModel::churn_node(cluster::Node& node) {
     node.terminate_process(pid, cluster::ProcessState::kExited, now, 0);
     ++apps_exited_;
   }
+  // Churned exits leave the table before any detector sample sees them, so
+  // the bulletin's next delta lists them as exited but no app.exited event
+  // is published. The monitoring workloads' event and message counts rely
+  // on that; the detector's own reap would announce every one of them.
   node.reap();
   running -= to_exit.size();
 

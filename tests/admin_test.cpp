@@ -113,6 +113,7 @@ TEST_F(AdminTest, ParallelCommandReportsDeadNodes) {
 
 TEST_F(AdminTest, DrainKillsUserJobsAndFlagsConfig) {
   const net::NodeId target = h.cluster.compute_nodes(net::PartitionId{0})[2];
+  h.kernel.detector(target).stop();  // keeps the killed entry unreaped
   const auto pid = h.kernel.ppm(target).spawn_local(
       kernel::ProcessSpec{"userjob", "alice", 1.0, 0, 0});
   h.run_s(1.0);

@@ -75,6 +75,67 @@ TEST_F(DetectorTest, PublishesAppStartedAndExitedEvents) {
   EXPECT_TRUE(exited);
 }
 
+// The detector reaps every terminal entry right after the sample that
+// reports it, so a node's table holds its live processes plus at most one
+// sample period of exits, however many jobs it has run.
+TEST_F(DetectorTest, ProcessTablesStayBounded) {
+  const auto computes = h.cluster.compute_nodes(net::PartitionId{0});
+  ASSERT_EQ(computes.size(), 4u);
+  // One 20 ms job every 10 ms, round-robin: each node starts one every
+  // 40 ms, so at most 25 of its jobs end between two 1 s samples.
+  constexpr std::size_t kExitsPerSample = 25;
+  std::size_t spawned = 0;
+  for (const std::size_t jobs : {2000u, 8000u}) {
+    for (; spawned < jobs; ++spawned) {
+      h.kernel.ppm(computes[spawned % computes.size()])
+          .spawn_local(ProcessSpec{"tick", "alice", 1.0, 20 * sim::kMillisecond, 0});
+      h.run(10 * sim::kMillisecond);
+    }
+    for (const net::NodeId node : computes) {
+      const auto& n = h.cluster.node(node);
+      EXPECT_LE(n.process_table().size(), n.running_process_count() + kExitsPerSample)
+          << "node " << node.value << " after " << jobs << " jobs";
+    }
+  }
+}
+
+// An app that ends while its node's detector is down stays in the table
+// until the restarted detector has reported it: exactly one app.exited.
+TEST_F(DetectorTest, ExitDuringDetectorOutageAnnouncedOnceAfterRestart) {
+  TestClient consumer(h.cluster, net::NodeId{4});
+  auto sub = std::make_shared<EsSubscribeMsg>();
+  sub->subscription.consumer = consumer.address();
+  sub->subscription.types = {std::string(event_types::kAppStarted),
+                             std::string(event_types::kAppExited)};
+  consumer.send_any(
+      h.kernel.service_address(ServiceKind::kEventService, net::PartitionId{0}),
+      sub);
+  h.run_s(1.0);
+
+  const net::NodeId node{3};
+  const cluster::Pid pid = h.kernel.ppm(node).spawn_local(
+      ProcessSpec{"outlived", "alice", 1.0, 3 * sim::kSecond, 0});
+  h.run_s(1.5);  // sampled running
+  auto& detector = h.kernel.detector(node);
+  detector.stop();
+  h.run_s(4.0);  // the app ends meanwhile
+  detector.start();
+  h.run_s(5.0);
+
+  const std::string pid_text = std::to_string(pid);
+  std::size_t started = 0, exited = 0;
+  for (const auto* n : consumer.of_type<EsNotifyMsg>()) {
+    if (n->event.attr("pid") != pid_text) continue;
+    if (n->event.type == event_types::kAppStarted) ++started;
+    if (n->event.type == event_types::kAppExited) {
+      ++exited;
+      EXPECT_EQ(n->event.attr("state"), "exited");
+    }
+  }
+  EXPECT_EQ(started, 1u);
+  EXPECT_EQ(exited, 1u);
+}
+
 TEST_F(DetectorTest, DeadDetectorStopsSampling) {
   h.run_s(2.5);
   h.kernel.detector(net::NodeId{2}).kill();

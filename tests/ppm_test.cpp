@@ -1,4 +1,4 @@
-// Parallel process management tests: probes, remote spawn/kill/cleanup,
+// Parallel process management tests: probes, remote spawn/kill,
 // exit notification, service restarts, parallel commands with tree fan-out.
 #include "kernel/ppm/process_manager.h"
 
@@ -67,6 +67,7 @@ TEST_F(PpmTest, SpawnCreatesProcessAndReplies) {
 }
 
 TEST_F(PpmTest, ProcessExitsAfterDurationWithNotify) {
+  h.kernel.detector(net::NodeId{4}).stop();  // keeps the exited entry unreaped
   auto spawn = std::make_shared<SpawnMsg>();
   spawn->spec = ProcessSpec{"shortjob", "alice", 1.0, 3 * sim::kSecond, 1024};
   spawn->reply_to = client.address();
@@ -88,6 +89,7 @@ TEST_F(PpmTest, ProcessExitsAfterDurationWithNotify) {
 }
 
 TEST_F(PpmTest, KillTerminatesProcess) {
+  h.kernel.detector(net::NodeId{4}).stop();  // keeps the killed entry unreaped
   auto spawn = std::make_shared<SpawnMsg>();
   spawn->spec = ProcessSpec{"victim", "alice", 1.0, 0 /*runs forever*/, 1024};
   spawn->reply_to = client.address();
@@ -106,22 +108,6 @@ TEST_F(PpmTest, KillTerminatesProcess) {
   EXPECT_TRUE(reply->ok);
   EXPECT_EQ(h.cluster.node(net::NodeId{4}).find_process(pid)->state,
             cluster::ProcessState::kKilled);
-}
-
-TEST_F(PpmTest, CleanupReapsTerminatedEntries) {
-  auto spawn = std::make_shared<SpawnMsg>();
-  spawn->spec = ProcessSpec{"fleeting", "alice", 1.0, 1 * sim::kSecond, 1024};
-  spawn->reply_to = client.address();
-  client.send_any(ppm_addr(4), spawn);
-  h.run_s(3.0);
-
-  auto cleanup = std::make_shared<CleanupMsg>();
-  cleanup->reply_to = client.address();
-  client.send_any(ppm_addr(4), cleanup);
-  h.run_s(1.0);
-  const auto* reply = client.last_of_type<CleanupReplyMsg>();
-  ASSERT_NE(reply, nullptr);
-  EXPECT_GE(reply->reaped, 1u);
 }
 
 TEST_F(PpmTest, RestartServiceBringsDaemonBack) {

@@ -87,6 +87,10 @@ TEST_F(PwsPriorityTest, WalltimeExceededKillsJob) {
   const JobId runaway = pws.submit(req(2, 600.0, 0, /*walltime_s=*/5.0));
   h.run_s(3.0);
   ASSERT_EQ(pws.scheduler().job(runaway)->state, JobState::kRunning);
+  // Keep the killed entries unreaped on the job's nodes.
+  for (const net::NodeId node : pws.scheduler().job(runaway)->allocated) {
+    h.kernel.detector(node).stop();
+  }
   h.run_s(6.0);
   const Job* job = pws.scheduler().job(runaway);
   EXPECT_EQ(job->state, JobState::kTimedOut);

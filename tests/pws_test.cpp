@@ -403,6 +403,60 @@ TEST(PwsSecurityTest, AuthorizedJobKeepsLimitsAndDependency) {
   EXPECT_EQ(sched.job(gated_id)->after_ok, dependency_id);
 }
 
+/// Submits one authorized job, cancels it while its authorization is in
+/// flight, lets the verdict (allowed) arrive, and checks that the job
+/// stays cancelled and its submitter is told so.
+void expect_cancel_during_authorization_sticks(bool retain_terminal_jobs) {
+  KernelHarness h(small_cluster_spec(), fast_ft_params());
+  auto config = one_pool_config(h.cluster);
+  config.use_security = true;
+  config.retain_terminal_jobs = retain_terminal_jobs;
+  PwsSystem pws(h.kernel, config);
+  auto& security = h.kernel.security();
+  security.add_user("alice", "pw", {"scientist"});
+  security.grant("scientist", "job.submit", "pool/batch");
+  h.run_s(1.0);
+
+  TestClient client(h.cluster, net::NodeId{3});
+  send_authorized(client, security, pws.scheduler(), req("alice", 1, 5.0), 1);
+  PwsScheduler& sched = pws.scheduler();
+  // Step until the job is recorded: its authorization is then in flight.
+  while (sched.jobs().empty() && h.cluster.engine().step()) {
+  }
+  ASSERT_EQ(sched.jobs().size(), 1u);
+  const JobId id = sched.jobs().begin()->first;
+  ASSERT_EQ(sched.job(id)->state, JobState::kAuthorizing);
+  EXPECT_TRUE(sched.cancel(id));
+  h.run_s(3.0);
+
+  const auto replies = client.of_type<PwsSubmitReplyMsg>();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_FALSE(replies[0]->accepted);
+  EXPECT_EQ(replies[0]->job_id, id);
+  EXPECT_EQ(replies[0]->reason, to_string(SubmitStatus::kCancelled));
+  if (retain_terminal_jobs) {
+    ASSERT_NE(sched.job(id), nullptr);
+    EXPECT_EQ(sched.job(id)->state, JobState::kCancelled);
+  } else {
+    EXPECT_EQ(sched.job(id), nullptr);
+  }
+  EXPECT_EQ(sched.stats().cancelled, 1u);
+  EXPECT_EQ(sched.stats().submitted, 0u);
+  EXPECT_EQ(sched.running_count(), 0u);
+}
+
+// A job cancelled while its authorization is in flight is not run when the
+// verdict arrives, and its submitter gets a cancelled verdict.
+TEST(PwsSecurityTest, CancelDuringAuthorizationSticks) {
+  expect_cancel_during_authorization_sticks(true);
+}
+
+// The same with terminal jobs retired at once: the cancelled job is already
+// gone when the verdict arrives, and its submitter is still answered.
+TEST(PwsSecurityTest, CancelDuringAuthorizationSticksUnretained) {
+  expect_cancel_during_authorization_sticks(false);
+}
+
 // An authorized submission draws on its tenant's token bucket like any
 // other: with room for one job, the second of two is refused.
 TEST(PwsSecurityTest, AuthorizedSubmissionPassesAdmission) {
