@@ -37,6 +37,34 @@ void BM_EngineScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleRun);
 
+// The boot's checkpoint-fetch storm in miniature: range(0) deliveries in
+// flight at once, each due 40-60 us out (the fabric's base latency with its
+// +-20% jitter), and each handler arming one timer 1 s out, as a fetch
+// arms its delayed reply. One iteration schedules the storm and runs every
+// delivery and every timer.
+void BM_EngineFanout(benchmark::State& state) {
+  const auto in_flight = static_cast<std::size_t>(state.range(0));
+  std::size_t timers = 0;
+  for (auto _ : state) {
+    sim::Engine engine;
+    timers = 0;
+    for (std::size_t i = 0; i < in_flight; ++i) {
+      engine.schedule_after(40 + engine.rng().next() % 21, [&engine, &timers] {
+        engine.schedule_after(sim::kSecond, [&timers] { ++timers; });
+      });
+    }
+    benchmark::DoNotOptimize(engine.run());
+  }
+  if (timers != in_flight) state.SkipWithError("a delivery or its timer did not run");
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(2 * in_flight));
+}
+BENCHMARK(BM_EngineFanout)
+    ->Arg(1000)
+    ->Arg(100'000)
+    ->Arg(1'000'000)
+    ->ArgName("in_flight")
+    ->Unit(benchmark::kMillisecond);
+
 void BM_KernelBoot(benchmark::State& state) {
   const auto partitions = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {

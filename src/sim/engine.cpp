@@ -1,5 +1,6 @@
 #include "sim/engine.h"
 
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <utility>
@@ -18,7 +19,7 @@ std::string format_duration(SimTime t) {
   return buf;
 }
 
-Engine::Engine(std::uint64_t seed) : rng_(seed) {}
+Engine::Engine(std::uint64_t seed) : buckets_(kWheelSpan), rng_(seed) {}
 
 EventId Engine::schedule_raw_at(SimTime t, void (*fn)(void*), void* ctx) {
   return schedule_impl(t, Callback(fn, ctx));
@@ -29,42 +30,123 @@ EventId Engine::schedule_raw_after(SimTime delay, void (*fn)(void*), void* ctx) 
 }
 
 bool Engine::cancel(EventId id) {
-  // Lazy cancellation: the queue key stays queued and is skipped when
+  // Lazy cancellation: the queued id stays behind and is skipped when
   // popped; only the generation bump and callback teardown happen here.
-  const std::uint64_t slot = id.value >> kGenerationBits;
-  const std::uint32_t gen = static_cast<std::uint32_t>(id.value & kGenMask);
-  if (gen == 0 || slot >= slots_.size() || !slots_[slot].live ||
-      slots_[slot].gen != gen) {
-    return false;
-  }
-  slots_[slot].cb = Callback{};  // release captures promptly
-  retire(slot);
+  const std::uint64_t index = id.value >> kGenerationBits;
+  if (index >= blocks_.size() * kBlockSlots || !is_live(id.value)) return false;
+  Slot& s = slot(index);
+  s.cb.reset();  // release captures promptly
+  retire(s);
+  free_slots_.push_back(index);
   --live_;
   return true;
 }
 
+void Engine::add_block() {
+  const std::uint64_t first = blocks_.size() * kBlockSlots;
+  blocks_.push_back(std::make_unique<Slot[]>(kBlockSlots));
+  // Highest index first, so the block's slots are handed out in order.
+  for (std::uint64_t i = kBlockSlots; i-- > 0;) free_slots_.push_back(first + i);
+}
+
+void Engine::push_back(SimTime t, std::uint64_t id) {
+  const std::size_t b = t % kWheelSpan;
+  Bucket& k = buckets_[b];
+  if (k.head == kNoChunk || k.back == kChunkIds) {
+    std::uint32_t c = free_chunk_;
+    if (c != kNoChunk) {
+      free_chunk_ = chunks_[c].next;
+      chunks_[c].next = kNoChunk;
+    } else {
+      c = static_cast<std::uint32_t>(chunks_.size());
+      chunks_.emplace_back();
+    }
+    if (k.head == kNoChunk) {
+      k.head = c;
+      k.front = 0;
+      occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
+    } else {
+      chunks_[k.tail].next = c;
+    }
+    k.tail = c;
+    k.back = 0;
+  }
+  chunks_[k.tail].ids[k.back++] = id;
+  ++wheel_size_;
+}
+
+void Engine::pop_front(std::size_t b) {
+  Bucket& k = buckets_[b];
+  --wheel_size_;
+  const bool last_chunk = k.head == k.tail;
+  if (++k.front < (last_chunk ? k.back : kChunkIds)) {
+    // The next id in this bucket runs soon: warm its slot meanwhile.
+    __builtin_prefetch(&slot(chunks_[k.head].ids[k.front] >> kGenerationBits));
+    return;
+  }
+  const std::uint32_t spent = k.head;
+  k.head = chunks_[spent].next;
+  k.front = 0;
+  chunks_[spent].next = free_chunk_;
+  free_chunk_ = spent;
+  if (last_chunk) occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+}
+
+std::size_t Engine::next_bucket() const noexcept {
+  // The wheel is not empty, so the scan ends; bits below `start` in its
+  // word are the latest buckets and are reached after the wrap.
+  const std::size_t start = now_ % kWheelSpan;
+  std::size_t w = start / 64;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
+  while (bits == 0) {
+    w = (w + 1) % (kWheelSpan / 64);
+    bits = occupied_[w];
+  }
+  return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+}
+
+void Engine::migrate() {
+  while (!far_.empty() && far_.top().time - now_ < kWheelSpan) {
+    // Ghosts move too: checking their slots here would miss the cache
+    // once more for every far event.
+    push_back(far_.top().time, far_.top().id);
+    far_.pop();
+  }
+}
+
 bool Engine::step_limited(SimTime limit) {
-  while (!queue_.empty()) {
-    const Entry top = queue_.top();
-    const std::uint64_t slot = top.id >> kGenerationBits;
-    if (!slots_[slot].live || slots_[slot].gen != (top.id & kGenMask)) {
-      queue_.pop();  // cancelled ghost
+  for (;;) {
+    if (wheel_size_ == 0) {
+      // Nothing due within the window: the clock jumps to the earliest far
+      // event, which runs next, and the window follows it.
+      while (!far_.empty() && !is_live(far_.top().id)) far_.pop();
+      if (far_.empty() || far_.top().time > limit) return false;
+      now_ = far_.top().time;
+      migrate();
+    }
+    const std::size_t b = next_bucket();
+    const std::uint64_t id = chunks_[buckets_[b].head].ids[buckets_[b].front];
+    const SimTime t = now_ + ((b - now_) % kWheelSpan);
+    if (!is_live(id)) {
+      pop_front(b);  // cancelled ghost
       continue;
     }
-    if (top.time > limit) return false;
-    queue_.pop();
-    // Move the callback out and retire the slot *before* running it: the
-    // callback may legally schedule into (and thus reuse) this very slot.
-    Callback cb = std::move(slots_[slot].cb);
-    slots_[slot].cb = Callback{};
-    retire(slot);
+    if (t > limit) return false;
+    pop_front(b);
+    now_ = t;
+    migrate();
+    // Retire the slot but keep it off the free list while the callback
+    // runs in place: the block never moves, and nothing can reuse it.
+    const std::uint64_t index = id >> kGenerationBits;
+    Slot& s = slot(index);
+    retire(s);
     --live_;
-    now_ = top.time;
     ++executed_;
-    cb();
+    s.cb();
+    s.cb.reset();
+    free_slots_.push_back(index);
     return true;
   }
-  return false;
 }
 
 std::size_t Engine::run(std::size_t max_events) {
@@ -76,7 +158,10 @@ std::size_t Engine::run(std::size_t max_events) {
 std::size_t Engine::run_until(SimTime t) {
   std::size_t n = 0;
   while (step_limited(t)) ++n;
-  if (now_ < t) now_ = t;
+  if (now_ < t) {
+    now_ = t;  // every queued event is later than t
+    migrate();
+  }
   return n;
 }
 

@@ -1,14 +1,25 @@
 // Discrete-event simulation engine.
 //
-// The engine owns the virtual clock and a priority queue of scheduled
-// callbacks. All Phoenix daemons are actors driven entirely by engine
-// events: message deliveries, timers, and fault injections. Determinism:
-// ties on time are broken by insertion sequence number.
+// The engine owns the virtual clock and the queue of scheduled callbacks.
+// All Phoenix daemons are actors driven entirely by engine events: message
+// deliveries, timers, and fault injections. Determinism: events run in
+// (time, insertion sequence) order.
 //
 // Hot-path design (see DESIGN.md, "Simulation-core performance"):
-//   - The priority queue holds 24-byte POD keys {time, seq, id}; the
-//     callback itself lives in a stable slot array and is never moved by
-//     heap sifts.
+//   - A hashed timing wheel holds every event due within kWheelSpan of
+//     now(): one FIFO bucket per microsecond, a 64-word bitmap to find the
+//     next non-empty bucket, and bucket entries kept in fixed-size chunks
+//     from one free list. Events further out (timers, delayed replies)
+//     wait in a binary heap of 24-byte {time, seq, id} keys and move into
+//     their bucket, in heap order, when the clock comes within kWheelSpan
+//     of them.
+//   - Pop order is exactly (time, seq): a bucket holds one time and is
+//     FIFO, and every far event for time T enters its bucket before any
+//     event for T can be scheduled into that bucket directly (T joins the
+//     window only when the clock advances, and migration runs right then).
+//   - Callbacks live in 64-byte slots in blocks that never move, so a
+//     callback runs in place: its slot is retired before it runs and goes
+//     back on the LIFO free list after it returns.
 //   - Cancellation is lazy via generation counters: an EventId packs
 //     (slot, generation); cancel/fire bump the slot's generation, so a
 //     queued ghost key is recognized and skipped when popped. No per-event
@@ -21,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -50,6 +62,25 @@ class Engine {
   /// schedule/cancel cycles on the *same slot* is far beyond any id a
   /// daemon keeps around.
   static constexpr unsigned kGenerationBits = 20;
+
+  /// Width of the timing wheel in microseconds: one bucket per microsecond.
+  /// It covers the fabric's deliveries (50 us base latency plus ~1 us per
+  /// KB), so mostly timers and delayed replies go through the far heap;
+  /// 4,096 buckets keep the wheel's fixed footprint near 50 KB.
+  static constexpr SimTime kWheelSpan = 4096;
+
+  /// One pending event's storage: a cache line. Slots come in blocks of
+  /// kBlockSlots that never move, so a callback can run where it lies.
+  static constexpr std::size_t kBlockSlots = 1024;
+  struct alignas(64) Slot {
+    std::uint32_t gen = 1;
+    // Distinguishes an occupied slot from one parked on the free list. A
+    // free slot already carries the generation its NEXT occupant will get,
+    // so without this flag a stale id could alias it after a generation
+    // wrap and cancel() would corrupt the free list / live count.
+    bool live = false;
+    Callback cb;
+  };
 
   explicit Engine(std::uint64_t seed = 42);
 
@@ -107,9 +138,11 @@ class Engine {
 
  private:
   static constexpr std::uint64_t kGenMask = (1u << kGenerationBits) - 1;
+  static constexpr std::uint32_t kNoChunk = ~std::uint32_t{0};
+  static constexpr std::uint16_t kChunkIds = 7;  // a chunk is 64 bytes
 
-  // Priority-queue key: plain-old-data, 24 bytes, cheap to sift. The
-  // callback for `id` lives in slots_[id >> kGenerationBits].
+  // Far-heap key: plain-old-data, 24 bytes, cheap to sift. The callback for
+  // `id` lives in slot(id >> kGenerationBits).
   struct Entry {
     SimTime time;
     std::uint64_t seq;  // tie-breaker: FIFO among same-time events
@@ -120,61 +153,85 @@ class Engine {
       return a.time != b.time ? a.time > b.time : a.seq > b.seq;
     }
   };
-  struct Slot {
-    std::uint32_t gen = 1;
-    // Distinguishes an occupied slot from one parked on the free list. A
-    // free slot already carries the generation its NEXT occupant will get,
-    // so without this flag a stale id could alias it after a generation
-    // wrap and cancel() would corrupt the free list / live count.
-    bool live = false;
-    Callback cb;
+  // A bucket's FIFO of ids runs through a chain of chunks: ids are taken
+  // from chunks_[head].ids[front] and appended at chunks_[tail].ids[back].
+  struct Chunk {
+    std::uint64_t ids[kChunkIds];
+    std::uint32_t next = kNoChunk;
+  };
+  struct Bucket {
+    std::uint32_t head = kNoChunk;
+    std::uint32_t tail = kNoChunk;
+    std::uint16_t front = 0;
+    std::uint16_t back = 0;
   };
 
+  Slot& slot(std::uint64_t index) noexcept {
+    return blocks_[index / kBlockSlots][index % kBlockSlots];
+  }
+  bool is_live(std::uint64_t id) noexcept {
+    const Slot& s = slot(id >> kGenerationBits);
+    return s.live && s.gen == (id & kGenMask);
+  }
+
   std::uint64_t acquire_slot() {
-    if (!free_slots_.empty()) {
-      const std::uint64_t slot = free_slots_.back();
-      free_slots_.pop_back();
-      return slot;
-    }
-    const std::uint64_t slot = slots_.size();
-    slots_.emplace_back();
-    return slot;
+    if (free_slots_.empty()) add_block();
+    const std::uint64_t index = free_slots_.back();
+    free_slots_.pop_back();
+    return index;
   }
 
   template <typename F>
   EventId schedule_impl(SimTime t, F&& cb) {
     if (t < now_) t = now_;
-    const std::uint64_t slot = acquire_slot();
+    const std::uint64_t index = acquire_slot();
+    Slot& s = slot(index);
     if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
-      slots_[slot].cb = std::forward<F>(cb);
+      s.cb = std::forward<F>(cb);
     } else {
-      slots_[slot].cb.emplace(std::forward<F>(cb));
+      s.cb.emplace(std::forward<F>(cb));
     }
-    slots_[slot].live = true;
-    const std::uint64_t id = (slot << kGenerationBits) | slots_[slot].gen;
-    queue_.push(Entry{t, next_seq_++, id});
+    s.live = true;
+    const std::uint64_t id = (index << kGenerationBits) | s.gen;
+    if (t - now_ < kWheelSpan) {
+      push_back(t, id);
+    } else {
+      far_.push(Entry{t, next_seq_++, id});
+    }
     ++live_;
     return EventId{id};
   }
 
   bool step_limited(SimTime limit);
+  void add_block();
+  void push_back(SimTime t, std::uint64_t id);
+  void pop_front(std::size_t bucket);
+  std::size_t next_bucket() const noexcept;
+  /// Moves the far events that the window [now_, now_ + kWheelSpan) has
+  /// reached into their buckets, in (time, seq) order.
+  void migrate();
 
-  /// Bumps the slot's generation (skipping 0) and returns it to the free
-  /// list; any EventId minted for the old generation is now stale.
-  void retire(std::uint64_t slot) {
-    std::uint32_t g = (slots_[slot].gen + 1) & kGenMask;
+  /// Bumps the slot's generation (skipping 0) and marks it free; any
+  /// EventId minted for the old generation is now stale. The caller puts
+  /// the slot back on the free list once its callback is gone.
+  static void retire(Slot& s) noexcept {
+    std::uint32_t g = (s.gen + 1) & kGenMask;
     if (g == 0) g = 1;
-    slots_[slot].gen = g;
-    slots_[slot].live = false;
-    free_slots_.push_back(slot);
+    s.gen = g;
+    s.live = false;
   }
 
-  SimTime now_ = 0;
+  SimTime now_ = 0;  // also the wheel's base
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::size_t live_ = 0;  // scheduled, not yet fired/cancelled
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::vector<Slot> slots_;
+  std::size_t live_ = 0;        // scheduled, not yet fired/cancelled
+  std::size_t wheel_size_ = 0;  // ids in buckets, ghosts included
+  std::vector<Bucket> buckets_;  // kWheelSpan, indexed by time % kWheelSpan
+  std::uint64_t occupied_[kWheelSpan / 64] = {};  // bit b: bucket b non-empty
+  std::vector<Chunk> chunks_;
+  std::uint32_t free_chunk_ = kNoChunk;
+  std::priority_queue<Entry, std::vector<Entry>, Later> far_;
+  std::vector<std::unique_ptr<Slot[]>> blocks_;
   std::vector<std::uint64_t> free_slots_;  // LIFO: reuse stays cache-hot
   Rng rng_;
 };

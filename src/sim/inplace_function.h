@@ -130,7 +130,7 @@ class InplaceCallback {
 
   template <typename Fn>
   static constexpr bool fits_inline() noexcept {
-    return sizeof(Fn) <= Capacity && alignof(Fn) <= alignof(std::max_align_t) &&
+    return sizeof(Fn) <= Capacity && alignof(Fn) <= alignof(void*) &&
            std::is_nothrow_move_constructible_v<Fn>;
   }
 
@@ -155,7 +155,9 @@ class InplaceCallback {
       [](void* buf) { delete *std::launder(reinterpret_cast<Fn**>(buf)); },
   };
 
-  alignas(std::max_align_t) unsigned char buf_[Capacity];
+  // Pointer alignment, not max_align_t: the engine's 64-byte slot holds a
+  // 56-byte InplaceCallback<48> only if the buffer needs no 16-byte padding.
+  alignas(void*) unsigned char buf_[Capacity];
   const Ops* ops_ = nullptr;
 };
 

@@ -1,16 +1,23 @@
-// Edge cases of the lazy-cancel slot/generation scheduler, plus an
-// equivalence test replaying a 10k-event trace against a reference
-// implementation of the old scheduler (eager hash-set liveness tracking,
-// std::function callbacks) to prove event ordering is bit-identical.
+// Edge cases of the lazy-cancel slot/generation scheduler and its timing
+// wheel, a seeded differential trace checked step by step against a plain
+// binary heap, and an equivalence test replaying a 10k-event trace against
+// a reference implementation of the old scheduler (eager hash-set liveness
+// tracking, std::function callbacks) to prove event ordering is
+// bit-identical.
 #include "sim/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
+#include <random>
+#include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/inplace_function.h"
@@ -190,6 +197,8 @@ TEST(SchedulerEdgeTest, HotPathLambdasAreStoredInline) {
     void operator()() const {}
   };
   static_assert(!Engine::Callback::stores_inline<Huge>());
+  static_assert(sizeof(Engine::Slot) == 64,
+                "a pending event's slot must fill exactly one cache line");
   Engine eng;
   Huge huge{};
   huge.blob[0] = 7;
@@ -206,6 +215,300 @@ TEST(SchedulerEdgeTest, MoveOnlyCapturesAreSupported) {
   eng.schedule_at(1, [owned = std::move(owned), &seen] { seen = *owned; });
   eng.run();
   EXPECT_EQ(seen, 99);
+}
+
+// ---------------------------------------------------------------------------
+// Timing wheel, far heap and in-place callbacks.
+// ---------------------------------------------------------------------------
+
+TEST(SchedulerEdgeTest, SameTimeFifoAcrossFarHeapMove) {
+  // Events 1 and 2 are scheduled while T lies beyond the wheel, so they
+  // wait in the far heap. Events 3-5 are scheduled for T after the window
+  // has reached it, straight into T's bucket. Schedule order must win.
+  constexpr SimTime kT = 3 * Engine::kWheelSpan;
+  Engine eng;
+  std::vector<int> order;
+  eng.schedule_at(kT, [&] { order.push_back(1); });
+  eng.schedule_at(kT, [&] { order.push_back(2); });
+  eng.schedule_at(kT - Engine::kWheelSpan + 1, [&] {
+    eng.schedule_at(kT, [&] { order.push_back(3); });
+  });
+  EXPECT_EQ(eng.run_until(kT - 1), 1u);
+  eng.schedule_at(kT, [&] { order.push_back(4); });
+  eng.schedule_after(1, [&] { order.push_back(5); });
+  EXPECT_EQ(eng.run_until(kT), 5u);
+
+  // The same when nothing nearer is queued and the clock jumps straight to
+  // the far events: a same-time child still runs after both of them.
+  constexpr SimTime kLater = kT + 5 * Engine::kWheelSpan;
+  eng.schedule_at(kLater, [&] {
+    order.push_back(6);
+    eng.schedule_at(kLater, [&] { order.push_back(8); });
+  });
+  eng.schedule_at(kLater, [&] { order.push_back(7); });
+  EXPECT_EQ(eng.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(eng.now(), kLater);
+
+  // A step over nothing but a cancelled far event leaves the clock alone.
+  eng.cancel(eng.schedule_at(kLater + 2 * Engine::kWheelSpan, [] {}));
+  EXPECT_FALSE(eng.step());
+  EXPECT_EQ(eng.now(), kLater);
+}
+
+TEST(SchedulerEdgeTest, CallbackRunsInPlaceWhileOpeningSlotBlocks) {
+  // A callback runs inside its slot. While it runs, its own id is spent,
+  // and the events it schedules take other slots, from new blocks once
+  // the free list runs dry, without moving the closure that is running.
+  constexpr std::size_t kChildren = 3 * Engine::kBlockSlots;
+  struct State {
+    Engine eng;
+    EventId self;
+    bool cancelled_self = true;
+    std::string text_after;
+    std::vector<EventId> children;
+    std::size_t fired = 0;
+  } st;
+  auto run = [s = &st, text = std::string(24, 'p')] {
+    s->cancelled_self = s->eng.cancel(s->self);
+    for (std::size_t i = 0; i < kChildren; ++i) {
+      s->children.push_back(s->eng.schedule_after(i % 5, [s] { ++s->fired; }));
+    }
+    s->text_after = text;  // the closure was neither moved nor overwritten
+  };
+  static_assert(Engine::Callback::stores_inline<decltype(run)>());
+  st.self = st.eng.schedule_at(10, std::move(run));
+  EXPECT_EQ(st.eng.run(), 1 + kChildren);
+  EXPECT_FALSE(st.cancelled_self);
+  EXPECT_EQ(st.text_after, std::string(24, 'p'));
+  EXPECT_EQ(st.fired, kChildren);
+  const std::uint64_t self_slot = st.self.value >> Engine::kGenerationBits;
+  for (const EventId child : st.children) {
+    ASSERT_NE(child.value >> Engine::kGenerationBits, self_slot);
+  }
+  EXPECT_EQ(st.eng.pending(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential trace against a binary heap.
+// ---------------------------------------------------------------------------
+
+// The engine's ordering contract in its plainest form: one binary heap on
+// (time, seq), with liveness tracked per event label.
+class ReferenceHeap {
+ public:
+  SimTime now() const noexcept { return now_; }
+  std::size_t pending() const noexcept { return pending_; }
+
+  void schedule_at(SimTime t, std::size_t label) {
+    heap_.push(Key{std::max(t, now_), next_seq_++, label});
+    if (label >= live_.size()) live_.resize(label + 1, false);
+    live_[label] = true;
+    ++pending_;
+  }
+  bool cancel(std::size_t label) {
+    if (label >= live_.size() || !live_[label]) return false;
+    live_[label] = false;
+    --pending_;
+    return true;
+  }
+  /// Time of the earliest live event, or kNever when none is queued.
+  SimTime next_time() {
+    while (!heap_.empty() && !live_[heap_.top().label]) heap_.pop();
+    return heap_.empty() ? kNever : heap_.top().time;
+  }
+  /// Runs the earliest live event if it is due by `limit`: its label.
+  std::optional<std::size_t> pop(SimTime limit) {
+    if (pending_ == 0 || next_time() > limit) return std::nullopt;
+    const Key k = heap_.top();
+    heap_.pop();
+    live_[k.label] = false;
+    --pending_;
+    now_ = k.time;
+    return k.label;
+  }
+  void advance_to(SimTime t) { now_ = std::max(now_, t); }
+
+ private:
+  struct Key {
+    SimTime time;
+    std::uint64_t seq;
+    std::size_t label;
+  };
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const noexcept {
+      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+    }
+  };
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 1;
+  std::size_t pending_ = 0;
+  std::priority_queue<Key, std::vector<Key>, Later> heap_;
+  std::vector<bool> live_;
+};
+
+// Drives the engine and the reference through one seeded trace in
+// lockstep: every engine callback pops the reference and must find its own
+// label there at the engine's clock, and both queues must report the same
+// pending count after every operation.
+class WheelDifferential {
+ public:
+  explicit WheelDifferential(std::uint64_t seed) : rng_(seed) {}
+
+  void run(std::size_t top_level_ops) {
+    for (std::size_t i = 0; i < top_level_ops && !diverged_; ++i) {
+      switch (rng_() % 8) {
+        case 0:
+        case 1:
+        case 2: schedule(); break;
+        case 3: cancel(); break;
+        case 4:
+        case 5: step(); break;
+        default: run_until(); break;
+      }
+      check_pending();
+    }
+    // Drain: kNever events run last, in schedule order.
+    spawning_ = false;
+    eng_.run();
+    check_pending();
+    EXPECT_EQ(eng_.pending(), 0u);
+    EXPECT_FALSE(eng_.step());
+  }
+
+  bool diverged() const noexcept { return diverged_; }
+  std::size_t operations() const noexcept { return ops_; }
+  std::size_t fired() const noexcept { return fired_; }
+  std::size_t wheel_edge_schedules() const noexcept { return edge_; }
+
+ private:
+  void diverge(const std::string& what) {
+    if (!diverged_) ADD_FAILURE() << what << " at operation " << ops_;
+    diverged_ = true;
+  }
+  void check_pending() {
+    if (eng_.pending() != ref_.pending()) diverge("pending() differs");
+  }
+
+  // Delays in the trace: same time, near, exactly at the wheel's edge (the
+  // wheel's base is now()), either side of it, 1 ms to ~30 s, and never.
+  SimTime delay() {
+    switch (rng_() % 20) {
+      case 0:
+      case 1:
+      case 2: return 0;
+      case 3:
+      case 4:
+      case 5:
+      case 6:
+      case 7: return 1 + rng_() % 200;
+      case 8:
+      case 9:
+        ++edge_;
+        return Engine::kWheelSpan - 1 + rng_() % 3;
+      case 10:
+      case 11:
+      case 12: return 200 + rng_() % (2 * Engine::kWheelSpan);
+      case 19: return kNever;
+      default: return kMillisecond + rng_() % (kMillisecond << (1 + rng_() % 15));
+    }
+  }
+
+  void schedule() {
+    ++ops_;
+    const std::size_t label = ids_.size();
+    auto fire = [this, label] { on_fire(label); };
+    const SimTime d = delay();
+    SimTime at = kNever;
+    switch (d == kNever ? 0 : rng_() % 4) {
+      case 0:
+        at = d == kNever ? kNever : eng_.now() + d;
+        ids_.push_back(eng_.schedule_at(at, fire));
+        break;
+      case 1:  // in the past: clamped to now()
+        at = eng_.now() - std::min(eng_.now(), d);
+        ids_.push_back(eng_.schedule_at(at, fire));
+        break;
+      default:
+        at = eng_.now() + d;
+        ids_.push_back(eng_.schedule_after(d, fire));
+        break;
+    }
+    ref_.schedule_at(at, label);
+  }
+
+  void cancel() {
+    ++ops_;
+    if (ids_.empty()) return;
+    // Recent labels are more often still pending, near or far.
+    const std::size_t n = ids_.size();
+    const std::size_t label =
+        rng_() % 2 ? n - 1 - rng_() % std::min<std::size_t>(n, 64) : rng_() % n;
+    if (eng_.cancel(ids_[label]) != ref_.cancel(label)) diverge("cancel() differs");
+  }
+
+  void step() {
+    ++ops_;
+    // Keep the clock off kNever until the final drain.
+    if (ref_.next_time() == kNever) return;
+    const std::size_t before = fired_;
+    if (!eng_.step() || fired_ != before + 1) diverge("step() ran no event");
+  }
+
+  void run_until() {
+    ++ops_;
+    const SimTime now = eng_.now();
+    SimTime horizon = now;
+    switch (rng_() % 4) {
+      case 0: horizon = now + rng_() % 300; break;
+      case 1: horizon = now + Engine::kWheelSpan - 1 + rng_() % 3; break;
+      case 2: horizon = now + rng_() % (40 * kSecond); break;
+      default: {  // just short of, or exactly at, the next event
+        const SimTime next = ref_.next_time();
+        if (next != kNever) horizon = std::max(now, next - rng_() % 2);
+        break;
+      }
+    }
+    const std::size_t before = fired_;
+    const std::size_t ran = eng_.run_until(horizon);
+    ref_.advance_to(horizon);
+    if (ran != fired_ - before) diverge("run_until() count differs");
+    if (eng_.now() != ref_.now()) diverge("run_until() clock differs");
+    if (ref_.next_time() <= horizon) diverge("run_until() left a due event");
+  }
+
+  void on_fire(std::size_t label) {
+    ++fired_;
+    const std::optional<std::size_t> expected = ref_.pop(eng_.now());
+    if (!expected || *expected != label || ref_.now() != eng_.now()) {
+      diverge("execution order differs");
+      return;
+    }
+    if (!spawning_) return;
+    for (int kids = static_cast<int>(rng_() % 3); kids > 0; --kids) schedule();
+    if (rng_() % 4 == 0) cancel();
+    check_pending();
+  }
+
+  Engine eng_;
+  ReferenceHeap ref_;
+  std::mt19937_64 rng_;
+  std::vector<EventId> ids_;  // label -> engine id
+  bool spawning_ = true;
+  bool diverged_ = false;
+  std::size_t ops_ = 0;
+  std::size_t fired_ = 0;
+  std::size_t edge_ = 0;
+};
+
+TEST(SchedulerDifferentialTest, MatchesBinaryHeapStepByStep) {
+  WheelDifferential trace(20061);
+  trace.run(25'000);
+  ASSERT_FALSE(trace.diverged());
+  // The trace must be big enough to mean something (~209k operations).
+  EXPECT_GT(trace.operations(), 150'000u);
+  EXPECT_GT(trace.fired(), 100'000u);
+  EXPECT_GT(trace.wheel_edge_schedules(), 10'000u);
 }
 
 // ---------------------------------------------------------------------------
