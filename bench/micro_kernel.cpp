@@ -1,7 +1,7 @@
 // Micro-benchmarks of the kernel primitives behind Figures 3-5: meta-group
-// view operations, event publish -> delivery, data-bulletin ingest/query,
-// checkpoint save/load, PWS checkpoint encoding, one detector sample, and
-// the discrete-event engine itself. These measure the implementation's real
+// view operations and one view change's fan-out, event publish -> delivery,
+// data-bulletin ingest/query, checkpoint save/load, PWS checkpoint encoding,
+// one detector sample, and the discrete-event engine itself. These measure the implementation's real
 // CPU cost (google-benchmark), complementing the simulated-time experiments
 // in the table benches.
 #include <benchmark/benchmark.h>
@@ -176,6 +176,46 @@ void BM_MetaViewSerialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MetaViewSerialize)->Arg(8)->Arg(40)->Arg(128);
+
+// One flat-ring view change among range(0) partitions: the leader takes a
+// join that re-incarnates its last member, sends the new view to every
+// member, and every GSD applies and checkpoints it (10 ms of simulated time
+// delivers the fan-out and the saves). The error check: every GSD's stored
+// view is the view it holds.
+void BM_ViewChangeFanout(benchmark::State& state) {
+  const auto partitions = static_cast<std::uint32_t>(state.range(0));
+  cluster::ClusterSpec spec = bench_spec(partitions);
+  spec.computes_per_partition = 0;
+  cluster::Cluster cluster(spec);
+  kernel::PhoenixKernel kernel(cluster);
+  kernel.boot();
+  cluster.engine().run_for(5 * sim::kSecond);
+  kernel::GroupServiceDaemon& leader =
+      kernel.gsd(kernel.gsd(net::PartitionId{0}).view().leader()->partition);
+  for (auto _ : state) {
+    auto join = std::make_shared<kernel::MetaJoinMsg>();
+    join->member = leader.view().members.back();
+    ++join->member.incarnation;
+    const net::Address from = join->member.gsd;
+    leader.deliver(
+        net::Envelope{from, leader.address(), net::NetworkId{0}, std::move(join)});
+    cluster.engine().run_for(10 * sim::kMillisecond);
+  }
+  for (std::uint32_t p = 0; p < partitions; ++p) {
+    const net::PartitionId id{p};
+    const auto stored = kernel.checkpoint_service(id).load_local(
+        "gsd/" + std::to_string(p), "view");
+    if (!stored || stored->str() != kernel.gsd(id).view().serialize()) {
+      state.SkipWithError("a GSD's stored view differs from the view it holds");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_ViewChangeFanout)
+    ->Arg(256)
+    ->Arg(1024)
+    ->ArgName("partitions")
+    ->Unit(benchmark::kMillisecond);
 
 // One PWS checkpoint of a job table of range(0) rows, 170 of which changed
 // since the previous one (pws_flash's shape after its scheduler kill): a

@@ -127,7 +127,7 @@ class EventService final : public ServiceRuntime {
 
  private:
   /// Runtime lifecycle: the consumer registry is the checkpointed state.
-  std::string snapshot() const override { return serialize_registry(); }
+  CheckpointData snapshot() const override { return serialize_registry(); }
   void restore(const std::string& data) override { restore_registry(data); }
 
   // --- publish fan-out index ----------------------------------------------

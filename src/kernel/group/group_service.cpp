@@ -57,7 +57,7 @@ GroupServiceDaemon::GroupServiceDaemon(cluster::Cluster& cluster, net::NodeId no
     if (MembershipRing* r = ring_for(ring.scope)) r->handle_ring_heartbeat(ring, env);
   });
   on<ViewChangeMsg>([this](const ViewChangeMsg& msg) {
-    if (MembershipRing* r = ring_for(msg.scope)) r->apply_view(msg.view);
+    if (MembershipRing* r = ring_for(msg.scope)) r->apply_view(msg.view, msg.bytes);
   });
   on<MetaJoinMsg>([this](const MetaJoinMsg& join) {
     if (MembershipRing* r = ring_for(join.scope)) r->handle_join(join);
@@ -467,11 +467,8 @@ void GroupServiceDaemon::census_probe(net::PartitionId target, bool top) {
             // isolated ex-leader still holding its old view). Re-invite it by
             // sending the ring's current view — a higher view id dislodges
             // its stale one and its rejoin logic does the rest.
-            auto msg = std::make_shared<ViewChangeMsg>();
-            msg->view = ring.view();
-            msg->scope = ring.scope();
             send_any(directory()->service_address(ServiceKind::kGroupService, target),
-                     std::move(msg));
+                     ring.view_message());
           } else {
             // Node alive, GSD process dead: restart it in place under the
             // ring's current epoch.

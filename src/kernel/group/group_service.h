@@ -178,10 +178,11 @@ class GroupServiceDaemon final : public ServiceRuntime {
 
   void on_service_start() override;
   void on_service_stop() override;
-  /// The checkpointed state is the primary ring's view (paired with the
-  /// custom CheckpointLoadReplyMsg handler — recovery here is
-  /// fetch_state_and_join, not the runtime's generic restore loop).
-  std::string snapshot() const override { return primary_ring_->view().serialize(); }
+  /// The checkpointed state is the primary ring's view, in the bytes the
+  /// ring keeps for it (paired with the custom CheckpointLoadReplyMsg
+  /// handler — recovery here is fetch_state_and_join, not the runtime's
+  /// generic restore loop).
+  CheckpointData snapshot() const override { return primary_ring_->view_bytes(); }
   /// GSD checkpoint saves are stamped with the primary ring's epoch so a
   /// deposed instance cannot overwrite its successor's view (0 under
   /// unilateral).

@@ -58,10 +58,25 @@ bool MembershipRing::is_ring_princess() const {
 
 // --- lifecycle ---------------------------------------------------------------
 
-MetaView MembershipRing::replace_view(MetaView view) {
+MetaView MembershipRing::replace_view(MetaView view, CheckpointData bytes) {
   MetaView old = std::exchange(view_, std::move(view));
+  view_bytes_ = std::move(bytes);
   self_index_ = view_.index_of(gsd_.partition());
   return old;
+}
+
+const CheckpointData& MembershipRing::view_bytes() const {
+  // A serialized view is never empty: it starts with the view id.
+  if (view_bytes_.size() == 0) view_bytes_ = view_.serialize();
+  return view_bytes_;
+}
+
+std::shared_ptr<ViewChangeMsg> MembershipRing::view_message() const {
+  auto msg = std::make_shared<ViewChangeMsg>();
+  msg->view = view_;
+  msg->scope = scope_;
+  if (!is_top()) msg->bytes = view_bytes();
+  return msg;
 }
 
 std::optional<MetaMember> MembershipRing::successor() const {
@@ -575,7 +590,7 @@ void MembershipRing::send_fence() {
 
 // --- views and joins ----------------------------------------------------------
 
-void MembershipRing::apply_view(MetaView incoming) {
+void MembershipRing::apply_view(MetaView incoming, CheckpointData bytes) {
   // Epoch ordering comes first: a quorum takeover's view beats any view_id
   // a deposed member can offer, and a stale-epoch view is discarded unseen
   // (fencing on the membership plane). Both epochs are 0 under the paper's
@@ -589,24 +604,26 @@ void MembershipRing::apply_view(MetaView incoming) {
       // deterministic winner — more members first, then serialization order —
       // so every member converges on the same view.
       if (incoming.members.size() < view_.members.size()) return;
-      if (incoming.members.size() == view_.members.size() &&
-          incoming.serialize() > view_.serialize()) {
-        return;
+      if (incoming.members.size() == view_.members.size()) {
+        if (bytes.size() == 0) bytes = incoming.serialize();
+        if (bytes.str() > view_bytes().str()) return;
       }
     }
   }
 
-  // Drop members our tombstones say are dead (stale entries from slow views).
-  std::erase_if(incoming.members, [this](const MetaMember& m) {
+  // Drop members our tombstones say are dead (stale entries from slow
+  // views); the sender's bytes then no longer match the view we keep.
+  const auto dropped = std::erase_if(incoming.members, [this](const MetaMember& m) {
     auto it = tombstones_.find(m.partition.value);
     return it != tombstones_.end() && m.incarnation <= it->second;
   });
+  if (dropped != 0) bytes = {};
 
   gsd_.trace(sim::TraceLevel::kInfo,
              (scope_ != 0 ? std::string(label()) + ": " : "") + "applying view " +
                  std::to_string(incoming.view_id) + " with " +
                  std::to_string(incoming.members.size()) + " members");
-  const MetaView old = replace_view(std::move(incoming));
+  const MetaView old = replace_view(std::move(incoming), std::move(bytes));
 
   joined_ = false;
   for (const MetaMember& m : view_.members) {
@@ -642,10 +659,9 @@ void MembershipRing::apply_view(MetaView incoming) {
 }
 
 std::shared_ptr<const ViewChangeMsg> MembershipRing::broadcast_view() {
-  // One immutable message for the whole fan-out: receivers only read it.
-  auto msg = std::make_shared<ViewChangeMsg>();
-  msg->view = view_;
-  msg->scope = scope_;
+  // One immutable message for the whole fan-out: receivers only read it,
+  // and every one that keeps the view unchanged checkpoints its bytes.
+  std::shared_ptr<const ViewChangeMsg> msg = view_message();
   for (const MetaMember& m : view_.members) {
     if (m.partition != gsd_.partition()) gsd_.send_any(m.gsd, msg);
   }
@@ -676,10 +692,7 @@ void MembershipRing::handle_join(const MetaJoinMsg& join) {
     const MetaMember& cur = view_.members[*existing];
     if (cur.incarnation >= member.incarnation) {
       // Duplicate join: re-send the current view so the joiner learns it.
-      auto msg = std::make_shared<ViewChangeMsg>();
-      msg->view = view_;
-      msg->scope = scope_;
-      gsd_.send_any(member.gsd, std::move(msg));
+      gsd_.send_any(member.gsd, view_message());
       return;
     }
   }

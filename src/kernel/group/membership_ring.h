@@ -86,7 +86,8 @@ class MembershipRing {
 
   // -- wire entry points (the GSD routes by message scope) --
   void handle_ring_heartbeat(const RingHeartbeatMsg& ring, const net::Envelope& env);
-  void apply_view(MetaView incoming);
+  /// `bytes`, when given, is incoming.serialize() (a ViewChangeMsg's).
+  void apply_view(MetaView incoming, CheckpointData bytes = {});
   void handle_join(const MetaJoinMsg& join);
   void handle_regroup_propose(const RegroupProposeMsg& proposal);
   void handle_regroup_vote(const RegroupVoteMsg& vote);
@@ -96,6 +97,12 @@ class MembershipRing {
   /// The membership-only top ring of zone leaders.
   bool is_top() const noexcept { return scope_ == kTopRingScope; }
   const MetaView& view() const noexcept { return view_; }
+  /// view().serialize(), encoded on first use and kept until the view
+  /// changes: the GSD's checkpoint saves and the view messages share it.
+  const CheckpointData& view_bytes() const;
+  /// A ViewChangeMsg carrying the current view (and, unless this is the
+  /// top ring, which never checkpoints, its bytes).
+  std::shared_ptr<ViewChangeMsg> view_message() const;
   bool joined() const noexcept { return joined_; }
   bool is_ring_leader() const;
   bool is_ring_princess() const;
@@ -121,9 +128,10 @@ class MembershipRing {
   /// shared message, for any extra recipients.
   std::shared_ptr<const ViewChangeMsg> broadcast_view();
   void try_rejoin();
-  /// The only writer of view_: installs `view`, recomputes self_index_ and
+  /// The only writer of view_ and view_bytes_: installs `view` with its
+  /// `bytes` (empty: encoded on first use), recomputes self_index_ and
   /// returns the previous view.
-  MetaView replace_view(MetaView view);
+  MetaView replace_view(MetaView view, CheckpointData bytes = {});
   /// Ring neighbours of this member; nullopt when it is not in the view or
   /// is alone in it.
   std::optional<MetaMember> successor() const;
@@ -151,6 +159,7 @@ class MembershipRing {
   const FtParams& params_;
 
   MetaView view_;
+  mutable CheckpointData view_bytes_;  // see view_bytes()
   /// index_of(our partition) in view_, kept by replace_view so the 50 ms
   /// predecessor check and the ring beater do not rescan the view.
   std::optional<std::size_t> self_index_;

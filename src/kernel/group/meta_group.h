@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "kernel/checkpoint/checkpoint_msgs.h"
 #include "net/ids.h"
 #include "net/message.h"
 
@@ -125,6 +126,10 @@ struct RingHeartbeatMsg final : net::Message {
 struct ViewChangeMsg final : net::Message {
   MetaView view;
   std::uint32_t scope = 0;
+  /// view.serialize(), encoded once by the sender and shared by every
+  /// receiver that checkpoints the view unchanged (empty: the receiver
+  /// encodes). Host-side, like a save's `attempt`: excluded from wire_size().
+  CheckpointData bytes;
 
   PHOENIX_MESSAGE_TYPE("meta.view_change")
   std::size_t wire_size() const noexcept override {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "kernel/checkpoint/checkpoint_msgs.h"
-
 namespace phoenix::kernel {
 
 ServiceRuntime::ServiceRuntime(cluster::Cluster& cluster, std::string name,

@@ -38,6 +38,7 @@
 
 #include "cluster/daemon.h"
 #include "cluster/rpc_client.h"
+#include "kernel/checkpoint/checkpoint_msgs.h"
 #include "kernel/ft_params.h"
 #include "kernel/service_kind.h"
 #include "kernel/service_msgs.h"
@@ -68,10 +69,6 @@ struct RuntimeCounters {
   /// below-watermark) meta-group epoch — a fenced ex-Leader knocking.
   std::uint64_t fenced_rejections = 0;
 };
-
-// Forward declaration: the generic recovery loop speaks the checkpoint wire
-// protocol (kernel/checkpoint/checkpoint_msgs.h, included by the .cpp).
-struct CheckpointLoadReplyMsg;
 
 class ServiceRuntime : public cluster::Daemon {
  public:
@@ -212,8 +209,10 @@ class ServiceRuntime : public cluster::Daemon {
   /// failover replacement created through the directory.
   virtual void on_takeover() {}
 
-  /// Serialized service state for checkpointing. Paired with restore().
-  virtual std::string snapshot() const { return {}; }
+  /// Serialized service state for checkpointing. Paired with restore(). A
+  /// service that already holds its encoded state returns that buffer, and
+  /// the save shares it instead of copying it.
+  virtual CheckpointData snapshot() const { return {}; }
   virtual void restore(const std::string& data) { (void)data; }
 
   /// Epoch fencing gate for mutating requests. Epoch 0 is legacy/unfenced

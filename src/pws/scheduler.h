@@ -260,7 +260,7 @@ class PwsScheduler final : public kernel::ServiceRuntime {
   void on_service_stop() override;
   /// A replacement created by migration restores like an in-place restart.
   void on_takeover() override { started_before_ = true; }
-  std::string snapshot() const override { return rows_.encode(jobs_); }
+  kernel::CheckpointData snapshot() const override { return rows_.encode(jobs_); }
 
   // request handlers
   void handle_submit(const PwsSubmitMsg& submit);

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -391,6 +393,76 @@ TEST_F(GroupServiceTest, ViewsAppliedInOneTickGoOutAsAtMostTwoSaves) {
   EXPECT_EQ(gsd.view().view_id, view.view_id);
 }
 
+// The member that committed a removal keeps a tombstone for the removed
+// incarnation. A later view that still lists it (a slow sender's) is trimmed
+// on arrival, so the sender's bytes no longer describe the view kept: the
+// save must carry the trimmed view's own bytes.
+TEST_F(GroupServiceTest, TombstoneTrimmedViewIsSavedFromItsOwnBytes) {
+  auto& committer = h.kernel.gsd(net::PartitionId{0});
+  auto& victim = h.kernel.gsd(net::PartitionId{1});
+  const MetaMember removed =
+      committer.view().members[*committer.view().index_of(net::PartitionId{1})];
+  h.injector.kill_daemon(victim);
+  for (int i = 0; i < 400 && committer.view().contains(net::PartitionId{1}); ++i) {
+    h.run(25 * sim::kMillisecond);
+  }
+  ASSERT_FALSE(committer.view().contains(net::PartitionId{1}));
+  h.run(1 * sim::kMillisecond);
+
+  MetaView stale = committer.view();
+  ++stale.view_id;
+  stale.members.push_back(removed);
+  auto msg = std::make_shared<ViewChangeMsg>();
+  msg->view = stale;
+  msg->bytes = stale.serialize();
+  std::vector<std::string> saves;
+  h.cluster.fabric().set_drop_filter(
+      [&](const net::Address& from, const net::Address&, const net::Message& m) {
+        const auto* save = net::message_cast<CheckpointSaveMsg>(m);
+        if (save != nullptr && from == committer.address()) {
+          saves.push_back(save->data.str());
+        }
+        return false;
+      });
+  committer.deliver(net::Envelope{victim.address(), committer.address(),
+                                  net::NetworkId{0}, std::move(msg)});
+  h.run(1 * sim::kMillisecond);
+  h.cluster.fabric().set_drop_filter(nullptr);
+
+  EXPECT_EQ(committer.view().view_id, stale.view_id);
+  EXPECT_FALSE(committer.view().contains(net::PartitionId{1}));
+  ASSERT_EQ(saves.size(), 1u);
+  EXPECT_EQ(saves[0], committer.view().serialize());
+}
+
+// A GSD restarted with no live peer recovers its old view, joins nobody and
+// re-founds a singleton ring; its saves carry the view it holds at each one,
+// never the bytes of a view it has replaced.
+TEST_F(GroupServiceTest, RefoundedRingSavesTheViewItHolds) {
+  auto& gsd = h.kernel.gsd(net::PartitionId{0});
+  h.injector.crash_node(h.cluster.server_node(net::PartitionId{1}));
+  h.injector.kill_daemon(gsd);
+  std::vector<std::string> saved, held;
+  h.cluster.fabric().set_drop_filter(
+      [&](const net::Address& from, const net::Address&, const net::Message& m) {
+        const auto* save = net::message_cast<CheckpointSaveMsg>(m);
+        if (save != nullptr && from == gsd.address()) {
+          saved.push_back(save->data.str());
+          held.push_back(gsd.view().serialize());
+        }
+        return false;
+      });
+  gsd.start();
+  h.run_s(30.0);
+  h.cluster.fabric().set_drop_filter(nullptr);
+
+  ASSERT_TRUE(gsd.joined());
+  ASSERT_EQ(gsd.view().members.size(), 1u);
+  ASSERT_FALSE(saved.empty());
+  EXPECT_EQ(saved, held);
+  EXPECT_EQ(saved.back(), gsd.view().serialize());
+}
+
 TEST_F(GroupServiceTest, MetaViewSurvivesDoubleFault) {
   // Crash two compute nodes at once; the ring (server-level) is unaffected
   // and both faults are diagnosed.
@@ -451,6 +523,49 @@ TEST(GroupServiceRingTest, EqualIdConflictingViewsConvergeInEitherOrder) {
   const std::string winner = std::min(x.serialize(), y.serialize());
   EXPECT_EQ(a.view().serialize(), winner);
   EXPECT_EQ(b.view().serialize(), winner);
+}
+
+// A view change is encoded once: every GSD that applies it unchanged saves
+// the bytes the change carried (one buffer per view id), and every save still
+// equals the view its sender holds. The bytes stay off the wire.
+TEST(GroupServiceRingTest, GsdsApplyingAViewSaveOneSharedEncoding) {
+  cluster::ClusterSpec spec = small_cluster_spec();
+  spec.partitions = 5;
+  KernelHarness h(spec, fast_ft_params());
+  h.run_s(5.0);
+  const std::uint64_t boot_view = h.kernel.gsd(net::PartitionId{0}).view().view_id;
+
+  std::map<std::uint64_t, std::set<const char*>> buffers;  // view id -> data
+  std::size_t mismatches = 0;
+  h.cluster.fabric().set_drop_filter(
+      [&](const net::Address& from, const net::Address&, const net::Message& m) {
+        const auto* save = net::message_cast<CheckpointSaveMsg>(m);
+        const auto* gsd =
+            dynamic_cast<const GroupServiceDaemon*>(h.cluster.daemon_at(from));
+        if (save == nullptr || gsd == nullptr) return false;
+        if (save->data.str() != gsd->view().serialize()) ++mismatches;
+        buffers[gsd->view().view_id].insert(save->data.str().data());
+        return false;
+      });
+  h.injector.kill_daemon(h.kernel.gsd(net::PartitionId{2}));
+  h.run_s(15.0);
+  h.cluster.fabric().set_drop_filter(nullptr);
+
+  EXPECT_EQ(mismatches, 0u);
+  ASSERT_GE(buffers.size(), 2u);  // the removal and the rejoin
+  for (const auto& [view_id, data] : buffers) {
+    EXPECT_GT(view_id, boot_view);
+    EXPECT_EQ(data.size(), 1u) << "view " << view_id;
+  }
+  for (std::uint32_t p = 0; p < 5; ++p) {
+    EXPECT_EQ(h.kernel.gsd(net::PartitionId{p}).view().members.size(), 5u);
+  }
+
+  ViewChangeMsg msg;
+  msg.view = h.kernel.gsd(net::PartitionId{0}).view();
+  const std::size_t bare = msg.wire_size();
+  msg.bytes = msg.view.serialize();
+  EXPECT_EQ(msg.wire_size(), bare);
 }
 
 TEST(MetaViewTest, RingOrderAndRoles) {

@@ -345,7 +345,7 @@ class CoalescingProbe final : public ServiceRuntime {
   const std::vector<sim::SimTime>& saves() const noexcept { return saves_; }
 
  private:
-  std::string snapshot() const override {
+  CheckpointData snapshot() const override {
     saves_.push_back(now());
     return {};
   }
@@ -413,7 +413,7 @@ class ToyService final : public ServiceRuntime {
   std::uint64_t pokes() const noexcept { return pokes_; }
 
  private:
-  std::string snapshot() const override { return std::to_string(pokes_); }
+  CheckpointData snapshot() const override { return std::to_string(pokes_); }
   void restore(const std::string& data) override { pokes_ = std::stoull(data); }
 
   std::uint64_t pokes_ = 0;
